@@ -11,26 +11,14 @@ Public surface:
 
 * :class:`DiskGeometry` -- platter layout and LBN mapping.
 * :class:`DiskParameters` -- timing constants (seek curve, RPM, overheads).
-* :class:`SectorStore` -- the persistent bytes (what survives a crash);
-  the dict-backed reference implementation.
-* :class:`FlatSectorStore` -- the contiguous flat-buffer implementation
-  (the default); :data:`STORES` / :func:`store_name` /
-  :func:`resolve_store` select between them (``REPRO_STORE``).
+* :class:`SectorStore` -- the persistent bytes (what survives a crash),
+  held in copy-on-write flat-buffer chunks.
 * :class:`Disk` -- the drive: a generator-based ``service`` routine.
 """
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import DiskParameters
-from repro.disk.storage import (
-    DEFAULT_STORE,
-    STORES,
-    FlatSectorStore,
-    SectorStore,
-    resolve_store,
-    store_name,
-)
+from repro.disk.storage import SectorStore
 from repro.disk.drive import Disk
 
-__all__ = ["Disk", "DiskGeometry", "DiskParameters", "SectorStore",
-           "FlatSectorStore", "STORES", "DEFAULT_STORE", "store_name",
-           "resolve_store"]
+__all__ = ["Disk", "DiskGeometry", "DiskParameters", "SectorStore"]

@@ -1,64 +1,48 @@
 """The persistent sector store: what the platters hold.
 
-This is the ground truth that survives a simulated crash.  Two
-implementations sit behind one API:
+This is the ground truth that survives a simulated crash.  Crash
+consistency checking (``repro.integrity``) operates directly on a snapshot
+of this store.
 
-* :class:`SectorStore` -- the reference: a sparse map from sector number
-  to ``bytes``; unwritten sectors read back as zeros.  Per-sector dict
-  churn, but trivially correct -- it stays registered as the equivalence
-  oracle.
-* :class:`FlatSectorStore` -- the default: one contiguous ``bytearray``
-  grown lazily toward the disk's high-watermark, plus a per-sector
-  occupancy byte map.  ``read``/``write``/``write_partial``/``snapshot``
-  are single slice or copy operations (C-speed memcpy, no per-sector
-  objects), and ``digest`` vectorizes over the whole image through a
-  zero-copy numpy view when numpy is importable.
-
-Both stores are *content*-equivalent by construction: identical reads,
-identical ``digest()``, identical instrumentation counters
-(``tests/disk/test_store_equivalence.py`` drives random interleavings
-against the oracle).  Crash-consistency checking (``repro.integrity``)
-operates directly on a snapshot of this store.
-
-Selection mirrors the event-loop kernel knob: an explicit
-``MachineConfig.store`` wins, then the ``REPRO_STORE`` environment
-variable, then :data:`DEFAULT_STORE`.  ``REPRO_STORE_FALLBACK=1`` forces
-the flat store onto its pure-python ``bytearray`` backing even when numpy
-is importable (CI's numpy-free leg).
+:class:`SectorStore` keeps the disk as a sparse map of fixed-span
+``bytearray`` chunks: ``read``/``write``/``write_partial`` are slice
+operations and ``snapshot`` is copy-on-write.  A per-sector dict store in
+the test suite (``tests/disk/dict_store.py``) is its equivalence oracle:
+random interleavings and whole-machine runs must observe identical reads,
+digests, counters and fsck verdicts under both.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.disk.geometry import DiskGeometry
 
-try:  # numpy vectorizes the flat store; the bytearray fallback is complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_STORE_FALLBACK
-    _np = None
-
-#: backing-chunk span, in sectors (2 MB at 512-byte sectors): the flat
-#: store allocates one fixed-size chunk per touched 2 MB of the disk, so
-#: the raw-disk span (~1 GB) is never allocated eagerly and file systems
-#: that scatter writes across distant cylinder groups only pay for the
-#: chunks they touch -- never a contiguous high-watermark buffer
+#: backing-chunk span, in sectors (2 MB at 512-byte sectors): the store
+#: allocates one fixed-size chunk per touched 2 MB of the disk, so the
+#: raw-disk span (~1 GB) is never allocated eagerly and file systems that
+#: scatter writes across distant cylinder groups only pay for the chunks
+#: they touch -- never a contiguous high-watermark buffer
 GROW_CHUNK_SECTORS = 4096
 
 
-class SectorStoreBase:
-    """Shared surface of the sector-store implementations.
+class SectorStore:
+    """Chunked flat-buffer storage addressed by sector (LBN).
 
-    Subclasses provide ``read``/``write``/``snapshot``/``digest``/
-    ``iter_nonzero``/``flat_view``/``load_from`` with identical observable
-    behavior; this base holds the geometry bookkeeping and the derived
-    operations that are implementation-independent.
+    The backing is a sparse map of fixed-span ``bytearray`` chunks
+    (:data:`GROW_CHUNK_SECTORS` sectors each), allocated zero-filled the
+    first time a write touches their span; reads from unallocated spans
+    are holes and return zeros without allocating.  Within a chunk a
+    sector write is a single C memcpy -- no per-sector ``bytes`` objects.
+
+    A parallel occupancy byte map (one byte per sector, grown to the
+    written high-watermark) counts the distinct sectors ever written
+    (``__len__``) and gives the scans their skip-holes iteration order.
     """
 
-    #: registry key (also recorded per benchmark cell / ledger stratum)
-    name = "base"
+    #: recorded with every benchmark cell
+    name = "flat"
 
     def __init__(self, geometry: DiskGeometry) -> None:
         self.geometry = geometry
@@ -66,17 +50,15 @@ class SectorStoreBase:
         #: total sectors ever written (instrumentation; snapshots inherit
         #: the count so clones report identically to their source)
         self.sectors_written = 0
-
-    def write_partial(self, lbn: int, data: bytes,
-                      nsectors_applied: int) -> None:
-        """Apply only the first *nsectors_applied* sectors of a write.
-
-        Used by crash injection to model a request interrupted mid-transfer:
-        sectors are laid down in LBN order, so a crash leaves a prefix.
-        """
-        prefix = data[:nsectors_applied * self.geometry.sector_size]
-        if prefix:
-            self.write(lbn, prefix)
+        #: chunk index -> bytearray(GROW_CHUNK_SECTORS * sector_size)
+        self._chunks: dict[int, bytearray] = {}
+        #: chunk indices whose bytearray is shared with a snapshot (or a
+        #: snapshot's source): copy-on-write -- the next write to a shared
+        #: chunk copies it first, so ``snapshot`` itself is O(chunks)
+        #: pointer copies
+        self._shared: set[int] = set()
+        self._cap = 0  # sectors covered by the occupancy map
+        self._occ = bytearray()
 
     def _check_range(self, lbn: int, nsectors: int) -> None:
         if nsectors <= 0:
@@ -91,140 +73,6 @@ class SectorStoreBase:
             raise ValueError(
                 f"write of {len(data)} bytes is not sector-aligned ({size})")
         return len(data) // size
-
-
-class SectorStore(SectorStoreBase):
-    """Sparse persistent storage addressed by sector (LBN) -- the oracle."""
-
-    name = "dict"
-
-    def __init__(self, geometry: DiskGeometry) -> None:
-        super().__init__(geometry)
-        self._sectors: dict[int, bytes] = {}
-
-    def read(self, lbn: int, nsectors: int = 1) -> bytes:
-        """Read *nsectors* starting at *lbn*; holes read as zeros."""
-        self._check_range(lbn, nsectors)
-        if nsectors == 1:  # the buffer cache's dominant shape: no join
-            return self._sectors.get(lbn, self._zero)
-        sectors = self._sectors
-        zero = self._zero
-        return b"".join(sectors.get(lbn + i, zero) for i in range(nsectors))
-
-    def write(self, lbn: int, data: bytes) -> None:
-        """Write *data* (a whole number of sectors) starting at *lbn*."""
-        size = self.geometry.sector_size
-        nsectors = self._check_write(data)
-        self._check_range(lbn, nsectors)
-        sectors = self._sectors
-        for i in range(nsectors):
-            sectors[lbn + i] = bytes(data[i * size:(i + 1) * size])
-        self.sectors_written += nsectors
-
-    def snapshot(self) -> "SectorStore":
-        """An independent copy (the 'surviving image' for fsck)."""
-        clone = SectorStore(self.geometry)
-        clone._sectors = dict(self._sectors)
-        clone.sectors_written = self.sectors_written
-        return clone
-
-    def digest(self) -> str:
-        """Content fingerprint of the persistent state (hex).
-
-        Two stores digest equal iff every sector reads back identical --
-        all-zero sectors are canonicalized away, so a store that had zeros
-        explicitly written equals one that never touched the sector.  The
-        synthesis-vs-replay equivalence suite compares images this way,
-        and the flat store reproduces the digest bit for bit.
-        """
-        h = hashlib.sha256()
-        zero = self._zero
-        sectors = self._sectors
-        for lbn in sorted(sectors):
-            data = sectors[lbn]
-            if data == zero:
-                continue
-            h.update(lbn.to_bytes(8, "little"))
-            h.update(data)
-        return h.hexdigest()
-
-    def iter_nonzero(self) -> Iterator[tuple[int, bytes]]:
-        """``(lbn, data)`` for non-zero sectors, ascending by LBN."""
-        zero = self._zero
-        sectors = self._sectors
-        for lbn in sorted(sectors):
-            data = sectors[lbn]
-            if data != zero:
-                yield lbn, data
-
-    def flat_view(self, nsectors: int) -> bytes:
-        """The first *nsectors* as one contiguous buffer (fsck images)."""
-        size = self.geometry.sector_size
-        buf = bytearray(nsectors * size)
-        for lbn, data in self._sectors.items():
-            if lbn < nsectors:
-                buf[lbn * size:(lbn + 1) * size] = data
-        return bytes(buf)
-
-    def load_from(self, image: SectorStoreBase) -> None:
-        """Replace content wholesale with *image*'s (counter untouched).
-
-        ``Machine.adopt_image`` uses this to install an explored crash
-        image into the live disk while keeping object identity.
-        """
-        self._sectors = {lbn: bytes(data)
-                         for lbn, data in image.iter_nonzero()}
-
-    def __len__(self) -> int:
-        """Number of distinct sectors ever written."""
-        return len(self._sectors)
-
-
-class FlatSectorStore(SectorStoreBase):
-    """Chunked flat-buffer storage: every operation is a slice.
-
-    The backing is a sparse map of fixed-span ``bytearray`` chunks
-    (:data:`GROW_CHUNK_SECTORS` sectors each), allocated zero-filled the
-    first time a write touches their span; reads from unallocated spans
-    are holes and return zeros without allocating.  Within a chunk a
-    sector write is a single C memcpy -- no per-sector ``bytes`` objects,
-    no dict churn, and (unlike one contiguous buffer grown toward the
-    high-watermark) no repeated zero-fill/copy traffic when the file
-    system scatters writes across distant cylinder groups.
-
-    The hot path deliberately never touches numpy: per-call
-    ``frombuffer``/``tobytes`` dispatch costs more than it saves at
-    sector granularity.  numpy earns its keep on the *whole-image*
-    scans -- ``digest`` vectorizes the non-zero-sector fold through
-    zero-copy per-chunk views when :attr:`backend` is ``"numpy"``.
-
-    A parallel occupancy byte map (one byte per sector, grown to the
-    written high-watermark) preserves the reference store's "distinct
-    sectors ever written" accounting (``__len__``) and gives the scans
-    their skip-holes iteration order.
-    """
-
-    name = "flat"
-
-    #: True when this interpreter imports numpy (class-level; instances
-    #: record their digest/scan backend in :attr:`backend`)
-    vectorized = _np is not None
-
-    def __init__(self, geometry: DiskGeometry) -> None:
-        super().__init__(geometry)
-        self._use_np = (_np is not None
-                        and not os.environ.get("REPRO_STORE_FALLBACK"))
-        #: "numpy" or "bytearray" -- whether whole-image scans vectorize
-        self.backend = "numpy" if self._use_np else "bytearray"
-        #: chunk index -> bytearray(GROW_CHUNK_SECTORS * sector_size)
-        self._chunks: dict[int, bytearray] = {}
-        #: chunk indices whose bytearray is shared with a snapshot (or a
-        #: snapshot's source): copy-on-write -- the next write to a shared
-        #: chunk copies it first, so ``snapshot`` itself is O(chunks)
-        #: pointer copies, matching the reference store's shallow dict copy
-        self._shared: set[int] = set()
-        self._cap = 0  # sectors covered by the occupancy map
-        self._occ = bytearray()
 
     # -- capacity -------------------------------------------------------
     def _ensure_occ(self, end_sector: int) -> None:
@@ -277,6 +125,17 @@ class FlatSectorStore(SectorStoreBase):
             offset = 0
         return b"".join(parts)
 
+    def write_partial(self, lbn: int, data: bytes,
+                      nsectors_applied: int) -> None:
+        """Apply only the first *nsectors_applied* sectors of a write.
+
+        Used by crash injection to model a request interrupted mid-transfer:
+        sectors are laid down in LBN order, so a crash leaves a prefix.
+        """
+        prefix = data[:nsectors_applied * self.geometry.sector_size]
+        if prefix:
+            self.write(lbn, prefix)
+
     def write(self, lbn: int, data: bytes) -> None:
         """Write *data* (a whole number of sectors) starting at *lbn*."""
         nsectors = self._check_write(data)
@@ -313,18 +172,15 @@ class FlatSectorStore(SectorStoreBase):
             self._occ[lbn:end] = b"\x01" * nsectors
         self.sectors_written += nsectors
 
-    def snapshot(self) -> "FlatSectorStore":
+    def snapshot(self) -> "SectorStore":
         """An independent copy, copy-on-write: no chunk bytes move now.
 
         Every current chunk becomes shared between source and clone;
         whichever side writes a shared chunk first pays the one copy.
         This is what keeps crash-image capture (one snapshot per explored
-        point) O(touched chunks), like the reference store's shallow dict
-        copy.
+        point) O(touched chunks).
         """
-        clone = FlatSectorStore(self.geometry)
-        clone._use_np = self._use_np
-        clone.backend = self.backend
+        clone = SectorStore(self.geometry)
         clone._chunks = dict(self._chunks)
         shared = set(self._chunks)
         self._shared |= shared
@@ -335,52 +191,21 @@ class FlatSectorStore(SectorStoreBase):
         return clone
 
     def digest(self) -> str:
-        """Bit-identical to the reference store's digest."""
+        """Content fingerprint of the persistent state (hex).
+
+        Two stores digest equal iff every sector reads back identical --
+        all-zero sectors are canonicalized away, so a store that had zeros
+        explicitly written equals one that never touched the sector.  The
+        synthesis-vs-replay equivalence suite compares images this way.
+        """
         h = hashlib.sha256()
-        size = self.geometry.sector_size
-        span = GROW_CHUNK_SECTORS
-        if self._use_np:
-            cap = self._cap
-            for index in sorted(self._chunks):
-                base = index * span
-                # the occupancy map names the candidate sectors, so the
-                # scan touches O(written) rows, never the whole chunk
-                occ = _np.frombuffer(self._occ, dtype=_np.uint8,
-                                     count=min(span, cap - base),
-                                     offset=base)
-                rows = _np.flatnonzero(occ)
-                if not len(rows):
-                    continue
-                view = _np.frombuffer(self._chunks[index],
-                                      dtype=_np.uint8).reshape(span, size)
-                data = view[rows]
-                keep = data.any(axis=1)  # explicit zeros canonicalize away
-                if not keep.all():
-                    rows = rows[keep]
-                    data = data[keep]
-                    if not len(rows):
-                        continue
-                # one (lbn || data) record per non-zero sector, hashed in
-                # a single update per chunk: lbn as 8-byte little-endian,
-                # as the reference writes it
-                out = _np.empty((len(rows), 8 + size), dtype=_np.uint8)
-                out[:, :8] = ((rows + base).astype("<u8")
-                              .view(_np.uint8).reshape(-1, 8))
-                out[:, 8:] = data
-                h.update(out.data)
-            return h.hexdigest()
         for lbn, data in self.iter_nonzero():
             h.update(lbn.to_bytes(8, "little"))
             h.update(data)
         return h.hexdigest()
 
     def iter_nonzero(self) -> Iterator[tuple[int, bytes]]:
-        """``(lbn, data)`` for non-zero sectors, ascending by LBN.
-
-        Deliberately the plain occupancy-scan on both backends: a
-        generator holding a numpy ``frombuffer`` view across yields would
-        pin a buffer export over arbitrary caller code.
-        """
+        """``(lbn, data)`` for non-zero sectors, ascending by LBN."""
         size = self.geometry.sector_size
         span = GROW_CHUNK_SECTORS
         zero = self._zero
@@ -395,75 +220,20 @@ class FlatSectorStore(SectorStoreBase):
                     yield lbn, data
             lbn = occ.find(1, lbn + 1)
 
-    def flat_view(self, nsectors: int):
-        """The first *nsectors* as one contiguous buffer (fsck images).
+    def load_from(self, image: "SectorStore") -> None:
+        """Replace content wholesale with *image*'s (counter untouched).
 
-        One zero-filled allocation plus one memcpy per touched chunk --
-        never per-sector assembly.  The result is a snapshot, not a live
-        view; fsck builds a fresh one per pass.
+        ``Machine.adopt_image`` uses this to install an explored crash
+        image into the live disk while keeping object identity.  Chunks
+        are shared copy-on-write with the source, like :meth:`snapshot`.
         """
-        size = self.geometry.sector_size
-        span = GROW_CHUNK_SECTORS
-        buf = bytearray(nsectors * size)
-        end = nsectors * size
-        for index, chunk in self._chunks.items():
-            start = index * span * size
-            if start >= end:
-                continue
-            take = min(end - start, span * size)
-            buf[start:start + take] = chunk[:take] if take < span * size \
-                else chunk
-        return memoryview(buf)
-
-    def load_from(self, image: SectorStoreBase) -> None:
-        """Replace content wholesale with *image*'s (counter untouched)."""
-        if isinstance(image, FlatSectorStore):
-            # share chunks copy-on-write with the source, like snapshot()
-            self._chunks = dict(image._chunks)
-            shared = set(image._chunks)
-            image._shared |= shared
-            self._shared = shared
-            self._cap = image._cap
-            self._occ = bytearray(image._occ)
-            return
-        self._chunks = {}
-        self._shared = set()
-        self._occ = bytearray()
-        self._cap = 0
-        saved = self.sectors_written
-        for lbn, data in image.iter_nonzero():
-            self.write(lbn, data)
-        self.sectors_written = saved
+        self._chunks = dict(image._chunks)
+        shared = set(image._chunks)
+        image._shared |= shared
+        self._shared = shared
+        self._cap = image._cap
+        self._occ = bytearray(image._occ)
 
     def __len__(self) -> int:
         """Number of distinct sectors ever written."""
         return self._occ.count(1)
-
-
-# ----------------------------------------------------------------------
-# the store registry (mirrors repro.sim's kernel registry)
-# ----------------------------------------------------------------------
-#: registered store implementations, by knob name
-STORES: dict[str, type[SectorStoreBase]] = {
-    SectorStore.name: SectorStore,
-    FlatSectorStore.name: FlatSectorStore,
-}
-
-#: what a machine gets when nothing picks: the flat store ("dict" stays
-#: registered as the conformance oracle)
-DEFAULT_STORE = FlatSectorStore.name
-
-
-def store_name(explicit: Optional[str] = None) -> str:
-    """Resolve the store knob: explicit > ``REPRO_STORE`` > default."""
-    name = explicit or os.environ.get("REPRO_STORE") or DEFAULT_STORE
-    if name not in STORES:
-        raise ValueError(
-            f"unknown sector store {name!r} (registered: {sorted(STORES)})")
-    return name
-
-
-def resolve_store(geometry: DiskGeometry,
-                  explicit: Optional[str] = None) -> SectorStoreBase:
-    """Build the selected store implementation for *geometry*."""
-    return STORES[store_name(explicit)](geometry)

@@ -96,8 +96,9 @@ def collect(machine: Machine, users: list[Process], after_request_id: int,
     """
     result = RunResult(scheme=scheme or machine.scheme_name, label=label)
     result.sim_events = machine.engine.events_processed
-    # host-side provenance: which sector store backed this run (the stores
-    # are content-identical; the tag attributes wall-clock differences)
+    # host-side provenance: which sector store backed this run (one store
+    # today; the tag keeps cells recorded under the removed dict store
+    # from ever baselining new ones)
     result.extra["store"] = machine.disk.storage.name
     result.user_elapsed = [process.finished_at - process.started_at
                            for process in users]

@@ -8,11 +8,11 @@ sibling ``*.history.jsonl`` -- one JSON record per line, append-only, cheap
 to grep and safe to truncate independently.
 
 Records are **enriched at append time** with the facts the regression gate
-(:mod:`repro.harness.regress`) stratifies by: the event-loop kernel name
-and the host's CPU count / numpy availability / platform.  Without them a
-fast-kernel cell measured on a 16-core runner would be compared against a
-python-kernel baseline from a 1-core container -- exactly the false alarm
-(or false pass) the gate exists to prevent.  Records written before this
+(:mod:`repro.harness.regress`) stratifies by: the event-loop kernel and
+sector store names and the host's CPU count / platform.  Without them a
+cell measured on a 16-core runner would be compared against a baseline
+from a 1-core container -- exactly the false alarm (or false pass) the
+gate exists to prevent.  Records written before this
 scheme are migrated leniently on load: :func:`migrate_record` fills the
 missing keys with ``None`` placeholders, which the gate treats as an
 incomparable stratum, never as a match.
@@ -30,7 +30,7 @@ from repro.obs.observatory import host_facts
 DEFAULT_KEEP = 20
 
 #: host-fact keys every record carries after migration
-_HOST_KEYS = ("platform", "python", "cpus", "numpy")
+_HOST_KEYS = ("platform", "python", "cpus")
 
 
 def history_path_for(path: Path) -> Path:

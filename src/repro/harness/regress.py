@@ -12,12 +12,13 @@ the priors.
 Method (documented in ``docs/performance.md``):
 
 * **Stratification.**  Only priors from the same stratum count as
-  baseline: same event-loop kernel, host CPU count, numpy availability,
-  benchmark scale, and job count.  A fast-kernel cell is never judged
-  against python-kernel history, nor a 4-core run against a 1-core
-  container's.  Cells carrying their own ``kernel`` field (the
-  kernel-throughput grid runs both kernels in one session) must match on
-  that too.  Pre-enrichment records migrate to all-``None`` strata
+  baseline: same event-loop kernel and sector store names, host CPU
+  count, benchmark scale, and job count.  A 4-core run is never judged
+  against a 1-core container's.  The kernel and store names are constants
+  today; they stay in the key so sessions recorded under the since-removed
+  alternates (``fast`` kernel, ``dict`` store) never serve as baselines.
+  Cells carrying their own ``kernel``/``store`` fields must match on those
+  too.  Pre-enrichment records migrate to all-``None`` strata
   (:func:`repro.harness.perflog.migrate_record`), which match nothing.
 * **Robust center.**  The baseline is the *median* of the prior walls --
   one historic outlier session cannot move the gate -- and at least
@@ -72,7 +73,7 @@ def stratum_of(record: dict) -> tuple:
     """The comparability key of one session record."""
     host = record.get("host") or {}
     return (record.get("kernel"), record.get("store"), host.get("cpus"),
-            host.get("numpy"), record.get("scale"), record.get("jobs"))
+            record.get("scale"), record.get("jobs"))
 
 
 @dataclass
@@ -172,8 +173,7 @@ def format_regression_report(verdicts: list, fresh: dict, tolerance: float,
              "=============================",
              f"candidate session: {fresh.get('timestamp', '?')}",
              f"stratum: kernel={stratum[0]} store={stratum[1]} "
-             f"cpus={stratum[2]} numpy={stratum[3]} scale={stratum[4]} "
-             f"jobs={stratum[5]}",
+             f"cpus={stratum[2]} scale={stratum[3]} jobs={stratum[4]}",
              f"policy: regression when wall > median * {1 + tolerance:g} "
              f"and excess > {abs_floor:g}s, over >= {min_runs} "
              f"same-stratum prior runs",

@@ -50,37 +50,24 @@ class SchemeSpec:
 
 
 def _config(scheme, policy=None, block_copy=None,
-            cache_bytes: Optional[int] = None,
-            kernel: Optional[str] = None,
-            store: Optional[str] = None) -> MachineConfig:
+            cache_bytes: Optional[int] = None) -> MachineConfig:
     return MachineConfig(scheme=scheme, policy=policy, block_copy=block_copy,
                          costs=CostModel(),
-                         cache_bytes=cache_bytes or FULL_CACHE_BYTES,
-                         kernel=kernel, store=store)
+                         cache_bytes=cache_bytes or FULL_CACHE_BYTES)
 
 
 def standard_scheme_config(name: str, alloc_init: bool = False,
-                           cache_bytes: Optional[int] = None,
-                           kernel: Optional[str] = None,
-                           store: Optional[str] = None) -> MachineConfig:
+                           cache_bytes: Optional[int] = None) -> MachineConfig:
     """The standard configurations: section 5's five plus journaling.
 
     Everything comes from :data:`repro.ordering.registry.REGISTRY` -- the
     scheme instance in its table configuration (the scheduler schemes get
     the -CB block-copy enhancement there), the driver policy from the
     machine's ``default_policy_for`` (Part-NR for the flag, chains for
-    chains).  *kernel* picks the event-loop kernel (``repro.sim.KERNELS``);
-    the default defers to ``REPRO_KERNEL`` and then the reference kernel.
-    Kernels are simulation-identical, so every table is byte-identical
-    whichever one runs it (``benchmarks/test_kernel_throughput.py``).
-    *store* picks the sector store (``repro.disk.STORES``, default
-    ``REPRO_STORE`` then the flat store); stores are content-identical, so
-    tables and digests never depend on the choice either
-    (``tests/disk/test_store_equivalence.py``).
+    chains).
     """
     scheme = by_display_name(name).build_standard(alloc_init=alloc_init)
-    return _config(scheme, cache_bytes=cache_bytes, kernel=kernel,
-                   store=store)
+    return _config(scheme, cache_bytes=cache_bytes)
 
 
 #: the comparison order (section 5's five, then journaling, No Order last)

@@ -74,8 +74,6 @@ class ExplorationReport:
     monitor_windows: int = 0
     #: OrderingViolation tuple raised at commit time
     monitor_violations: tuple = ()
-    #: fsck pool width per crash image (pFSCK-style parallel scan)
-    fsck_jobs: int = 1
 
     # -- aggregation -----------------------------------------------------
     @property
@@ -109,7 +107,6 @@ class ExplorationReport:
             "record_wall_seconds": round(self.record_wall_seconds, 4),
             "verify_wall_seconds": round(self.verify_wall_seconds, 4),
             "log_bytes": self.log_bytes,
-            "fsck_jobs": self.fsck_jobs,
         }
 
     @property
@@ -259,7 +256,6 @@ class ExplorationReport:
             "violation_counts": dict(self.violation_counts),
             "clean": self.clean,
             "exit_status": self.exit_status,
-            "fsck_jobs": self.fsck_jobs,
             "monitor": self.monitor,
             "monitor_windows": self.monitor_windows,
             "monitor_violations": [

@@ -15,21 +15,12 @@ Public surface:
   -- synchronisation primitives.
 * :class:`CPU` -- a single-server compute resource with per-process
   accounting, used to model the 33 MHz i486 of the paper's testbed.
-* :data:`KERNELS`, :class:`PythonKernel`, :class:`FastKernel` -- swappable
-  event-loop kernels (``Engine(kernel=...)`` / ``REPRO_KERNEL``); the
-  pure-python kernel is the default and the equivalence oracle.
+
+There is one event loop: the engine's binary heap.
 """
 
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event, Timeout
-from repro.sim.kernel import (
-    KERNELS,
-    FastKernel,
-    Kernel,
-    PythonKernel,
-    kernel_name,
-    resolve_kernel,
-)
 from repro.sim.process import Process, ProcessCrashed
 from repro.sim.primitives import FIFOQueue, Lock, Semaphore, WaitQueue
 from repro.sim.cpu import CPU
@@ -39,17 +30,11 @@ __all__ = [
     "Engine",
     "Event",
     "FIFOQueue",
-    "FastKernel",
-    "KERNELS",
-    "Kernel",
     "Lock",
     "Process",
     "ProcessCrashed",
-    "PythonKernel",
     "Semaphore",
     "SimulationError",
     "Timeout",
     "WaitQueue",
-    "kernel_name",
-    "resolve_kernel",
 ]

@@ -1,31 +1,41 @@
-"""The discrete-event engine: clock, event construction, and the kernel.
+"""The discrete-event engine: clock, event queue and run loops.
 
-The engine is the public face of the simulation: it owns the clock
-attribute, builds events/timeouts/processes, and exposes the run loops.
-The event queue itself and the hot dispatch loops live in a swappable
-*kernel* (:mod:`repro.sim.kernel`): the pure-python reference kernel is
-the default and the equivalence oracle; the batched ``fast`` kernel trades
-per-event heap sifts for amortized array sorts.  Select with
-``Engine(kernel="fast")`` or ``REPRO_KERNEL=fast``.
+The engine owns the simulated clock, builds events/timeouts/processes,
+and holds the one event queue: a binary heap of ``(time, sequence,
+event)`` entries processed one event at a time.  Events enqueue
+themselves by calling the engine directly (``_schedule``/``_wake``), and
+late subscriptions to already-processed events go through a deferred
+queue (``_defer``) that every run loop drains.
+
+There is one event loop.  A batched array-sort queue beats the heap on
+synthetic timer churn but not on the copy/remove workloads, where the
+pending-event population stays small and heap sifts are cheap.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.events import Event, Timeout
-from repro.sim.kernel import SimulationError, resolve_kernel
 
 __all__ = ["Engine", "SimulationError"]
+
+
+class SimulationError(RuntimeError):
+    """Raised when the simulation cannot make progress or a process crashed."""
+
+
+_DRAINED_MSG = ("event heap drained at t={:.6f} before the awaited "
+                "event fired (deadlock or missing wakeup)")
 
 
 class Engine:
     """The event loop and simulated clock.
 
-    The engine's kernel holds a queue of ``(time, sequence, event)``
-    entries.  Entries at equal times fire in insertion order, which makes
-    every simulation run fully deterministic for a given seed -- under any
-    kernel.
+    Entries at equal times fire in insertion order, which makes every
+    simulation run fully deterministic for a given seed.
 
     Typical use::
 
@@ -40,9 +50,13 @@ class Engine:
         assert eng.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("now", "current_process", "obs", "trace_hook", "_kernel")
+    #: recorded with every benchmark cell (there is one event loop)
+    kernel_name = "python"
 
-    def __init__(self, kernel=None) -> None:
+    __slots__ = ("now", "current_process", "obs", "trace_hook",
+                 "_heap", "_seq", "_event_count", "_deferred")
+
+    def __init__(self) -> None:
         self.now: float = 0.0
         #: the process currently being resumed (None outside process context)
         self.current_process = None
@@ -52,9 +66,12 @@ class Engine:
         #: per-event dispatch hook ``hook(when, event)``; must be passive
         #: (read-only) so dispatch order and timestamps never change
         self.trace_hook = None
-        #: the event-loop kernel (name, class, instance, or None for the
-        #: REPRO_KERNEL / reference default)
-        self._kernel = resolve_kernel(kernel).bind(self)
+        self._heap: list[tuple[float, int, Event]] = []
+        self._seq = 0
+        self._event_count = 0
+        #: late subscriptions to already-processed events, delivered before
+        #: the next dispatch and flushed at every run-loop exit
+        self._deferred: deque = deque()
 
     # -- event construction ---------------------------------------------
     def event(self) -> Event:
@@ -72,22 +89,60 @@ class Engine:
         return Process(self, generator, name=name)
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` after *delay* simulated seconds (no process).
+        """Run ``fn(*args)`` after *delay* simulated seconds (no process)."""
+        event = Timeout(self, delay)
+        event.callbacks.append(lambda _ev: fn(*args))
 
-        No event object is handed back, so kernels are free to keep the
-        timer in flat storage and call *fn* directly at dispatch.
-        """
-        self._kernel.schedule_call(delay, fn, args)
+    # -- the queue (called by events) -------------------------------------
+    def _schedule(self, event: Event, delay: float) -> None:
+        """Enqueue *event* at ``now + delay``."""
+        self._seq += 1
+        heappush(self._heap, (self.now + delay, self._seq, event))
 
-    # -- kernel internals -------------------------------------------------
-    def _enqueue_event(self, event: Event, delay: float = 0.0) -> None:
-        """Compatibility shim; events call the kernel directly."""
-        self._kernel.schedule(event, delay)
+    def _wake(self, event: Event) -> None:
+        """Enqueue *event* at the current instant (``succeed``/``fail``)."""
+        self._seq += 1
+        heappush(self._heap, (self.now, self._seq, event))
+
+    def _defer(self, fn: Callable, event: Event) -> None:
+        """Queue ``fn(event)`` for delivery before the next dispatch."""
+        self._deferred.append((fn, event))
+
+    def _drain_deferred(self) -> None:
+        deferred = self._deferred
+        while deferred:
+            fn, event = deferred.popleft()
+            fn(event)
 
     # -- run loops ---------------------------------------------------------
+    # The loops inline step()'s body: they are the hottest frames of every
+    # simulation (one iteration per event), and the method call + repeated
+    # attribute lookups cost ~15% of total runtime at benchmark scale.
+    # step() stays as the single-event API.
+
     def step(self) -> None:
-        """Process the single next event on the queue."""
-        self._kernel.advance()
+        """Process the single next event on the queue.
+
+        Late callbacks are delivered before the dispatch and again after
+        it, as the run loops do, so a dispatch that subscribes to an
+        already-processed event never leaves the callback stranded
+        behind an empty heap.
+        """
+        if self._deferred:
+            self._drain_deferred()
+        if not self._heap:
+            raise SimulationError("step() on an empty event heap")
+        when, _seq, event = heappop(self._heap)
+        if when < self.now:
+            raise SimulationError(f"time went backwards: {when} < {self.now}")
+        self.now = when
+        self._event_count += 1
+        hook = self.trace_hook
+        if hook is not None:
+            hook(when, event)
+        event._process()
+        if self._deferred:
+            self._drain_deferred()
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, the clock passes *until*, or *max_events*.
@@ -101,7 +156,35 @@ class Engine:
         and raises :class:`SimulationError` when one more would be needed,
         rather than hanging.
         """
-        self._kernel.run(until=until, max_events=max_events)
+        heap = self._heap
+        pop = heappop
+        hook = self.trace_hook
+        deferred = self._deferred
+        processed = 0
+        if deferred:
+            self._drain_deferred()
+        while heap:
+            if until is not None and heap[0][0] > until:
+                break
+            if max_events is not None and processed >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} at t={self.now:.6f}")
+            when, _seq, event = pop(heap)
+            if when < self.now:
+                raise SimulationError(
+                    f"time went backwards: {when} < {self.now}")
+            self.now = when
+            self._event_count += 1
+            if hook is not None:
+                hook(when, event)
+            event._process()
+            processed += 1
+            if deferred:
+                self._drain_deferred()
+        if until is not None and until > self.now:
+            self.now = until
+        if deferred:
+            self._drain_deferred()
 
     def run_to(self, when: float, max_events: Optional[int] = None) -> None:
         """Advance the clock to the absolute instant *when*.
@@ -112,7 +195,32 @@ class Engine:
         exactly *when* even if the queue still holds later events or drained
         early.
         """
-        self._kernel.run_to(when, max_events=max_events)
+        heap = self._heap
+        pop = heappop
+        hook = self.trace_hook
+        deferred = self._deferred
+        processed = 0
+        if deferred:
+            self._drain_deferred()
+        while heap and heap[0][0] <= when:
+            if max_events is not None and processed >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} at t={self.now:.6f}")
+            event_when, _seq, event = pop(heap)
+            if event_when < self.now:
+                raise SimulationError(
+                    f"time went backwards: {event_when} < {self.now}")
+            self.now = event_when
+            self._event_count += 1
+            if hook is not None:
+                hook(event_when, event)
+            event._process()
+            processed += 1
+            if deferred:
+                self._drain_deferred()
+        self.now = max(self.now, when)
+        if deferred:
+            self._drain_deferred()
 
     def run_until(self, event: Event, max_events: Optional[int] = None) -> Any:
         """Run until *event* has been processed; return its value.
@@ -120,7 +228,36 @@ class Engine:
         Raises the event's exception if it failed, and
         :class:`SimulationError` if the queue drains first.
         """
-        return self._kernel.run_until(event, max_events=max_events)
+        heap = self._heap
+        pop = heappop
+        hook = self.trace_hook
+        deferred = self._deferred
+        processed = 0
+        if deferred:
+            self._drain_deferred()
+        while not event._processed:
+            if not heap:
+                raise SimulationError(_DRAINED_MSG.format(self.now))
+            if max_events is not None and processed >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} at t={self.now:.6f}")
+            when, _seq, next_event = pop(heap)
+            if when < self.now:
+                raise SimulationError(
+                    f"time went backwards: {when} < {self.now}")
+            self.now = when
+            self._event_count += 1
+            if hook is not None:
+                hook(when, next_event)
+            next_event._process()
+            processed += 1
+            if deferred:
+                self._drain_deferred()
+        if deferred:
+            self._drain_deferred()
+        if not event.ok:
+            raise event.value
+        return event.value
 
     def run_all(self, events: list[Event], max_events: Optional[int] = None) -> list[Any]:
         """Run until every event in *events* has fired; return their values."""
@@ -130,23 +267,17 @@ class Engine:
     @property
     def events_processed(self) -> int:
         """Total events processed since construction (for instrumentation)."""
-        return self._kernel.events_processed
+        return self._event_count
 
     @property
     def pending_events(self) -> int:
         """Scheduled-but-undispatched entries (the queue length)."""
-        return self._kernel.pending()
+        return len(self._heap)
 
     @property
     def next_event_time(self) -> Optional[float]:
         """The next event's timestamp, or None when nothing is pending."""
-        return self._kernel.peek()
-
-    @property
-    def kernel_name(self) -> str:
-        """The active kernel's registry name (``"python"`` / ``"fast"``)."""
-        return self._kernel.name
+        return self._heap[0][0] if self._heap else None
 
     def __repr__(self) -> str:
-        return (f"<Engine t={self.now:.6f} pending={self._kernel.pending()} "
-                f"kernel={self._kernel.name}>")
+        return f"<Engine t={self.now:.6f} pending={len(self._heap)}>"

@@ -1,4 +1,4 @@
-"""One-shot events for the simulation kernel.
+"""One-shot events for the discrete-event engine.
 
 An :class:`Event` is the unit of coordination: processes yield events and are
 resumed when the event *fires*.  Firing is split into two steps so that event
@@ -6,12 +6,8 @@ processing order is deterministic and independent of who calls
 :meth:`Event.succeed`:
 
 1. ``succeed()`` / ``fail()`` marks the event triggered and enqueues it on the
-   engine's kernel at the current simulated time;
-2. the kernel pops it and runs its callbacks (resuming waiting processes).
-
-Events talk to the kernel (:mod:`repro.sim.kernel`) directly rather than
-through the engine: ``wake``/``schedule`` are the hottest calls in the
-simulator, and the kernel is the component that owns the queue.
+   engine at the current simulated time;
+2. the engine pops it and runs its callbacks (resuming waiting processes).
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._triggered = True
         self._value = value
-        self.engine._kernel.wake(self)
+        self.engine._wake(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -77,7 +73,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._triggered = True
         self._exc = exc
-        self.engine._kernel.wake(self)
+        self.engine._wake(self)
         return self
 
     # -- engine internals ----------------------------------------------
@@ -91,11 +87,11 @@ class Event:
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self._processed:
             # Late subscription to an already-processed event: deliver
-            # through the kernel's deferred queue -- before the next
-            # dispatch, or at run-loop exit -- so the caller never
+            # through the engine's deferred queue -- right after the
+            # current dispatch, or at run-loop exit -- so the caller never
             # re-enters synchronously and the callback can never be
             # dropped by a run that stops before a wrapper event fires.
-            self.engine._kernel.defer(callback, self)
+            self.engine._defer(callback, self)
         else:
             self.callbacks.append(callback)
 
@@ -117,4 +113,4 @@ class Timeout(Event):
         self.delay = delay
         self._triggered = True
         self._value = value
-        engine._kernel.schedule(self, delay)
+        engine._schedule(self, delay)

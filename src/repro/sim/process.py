@@ -52,9 +52,9 @@ class Process(Event):
         self.started_at = engine.now
         self.finished_at: float | None = None
         self._waiting_on: Event | None = None
-        # Kick off on the next kernel dispatch, at the current time.  The
-        # bootstrap event goes through the ordinary wake path so process
-        # start order is part of the kernel-conformance contract.
+        # Kick off on the next engine dispatch, at the current time.  The
+        # bootstrap event goes through the ordinary wake path so processes
+        # start in FIFO order with every other same-instant event.
         start = Event(engine)
         start.callbacks.append(self._resume)
         start.succeed()

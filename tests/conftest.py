@@ -29,8 +29,7 @@ SAFE_SCHEMES = ["conventional", "flag", "chains", "softupdates"]
 
 def make_machine(scheme_name="noorder", geometry=SMALL_GEOMETRY,
                  cache_bytes=2 * 1024 * 1024, free_cpu=True, observe=False,
-                 profile=False, faults=None, kernel=None, store=None,
-                 **scheme_kwargs):
+                 profile=False, faults=None, **scheme_kwargs):
     """A formatted machine with the given scheme mounted."""
     scheme = SCHEME_FACTORIES[scheme_name](**scheme_kwargs)
     config = MachineConfig(
@@ -41,8 +40,6 @@ def make_machine(scheme_name="noorder", geometry=SMALL_GEOMETRY,
         observe=observe,
         profile=profile,
         faults=faults,
-        kernel=kernel,
-        store=store,
     )
     machine = Machine(config)
     machine.format()

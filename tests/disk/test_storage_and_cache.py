@@ -1,30 +1,24 @@
-"""Unit tests for the sector stores and on-board prefetch cache.
+"""Unit tests for the sector store and on-board prefetch cache.
 
-Every store test runs against each registered implementation (plus the
-flat store on its forced ``bytearray`` fallback backing): the suite IS the
-conformance contract both must satisfy identically.
+Every store test runs against the simulator's store and the dict-backed
+oracle (``tests/disk/dict_store.py``): the suite IS the conformance
+contract both must satisfy identically.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.disk import DiskGeometry, FlatSectorStore, SectorStore
+from repro.disk import DiskGeometry, SectorStore
 from repro.disk.cache import PrefetchCache
+from tests.disk.dict_store import DictSectorStore
 
 
 def make_store(variant: str, geometry=None):
     geometry = geometry or DiskGeometry()
-    if variant == "dict":
-        return SectorStore(geometry)
-    store = FlatSectorStore(geometry)
-    if variant == "flat-fallback":
-        # force the pure-python scan path regardless of numpy presence
-        store._use_np = False
-        store.backend = "bytearray"
-    return store
+    return (DictSectorStore if variant == "dict" else SectorStore)(geometry)
 
 
-STORE_VARIANTS = ["dict", "flat", "flat-fallback"]
+STORE_VARIANTS = ["dict", "flat"]
 
 
 @pytest.fixture(params=STORE_VARIANTS)
@@ -115,8 +109,8 @@ class TestStoreConformance:
             assert snap.digest() == store.digest()
 
     def test_load_from_preserves_counter(self):
-        source = self.drive(make_store("dict"))
         for variant in STORE_VARIANTS:
+            source = self.drive(make_store(variant))
             store = make_store(variant)
             store.write(7, b"\x55" * 512)
             before = store.sectors_written
@@ -127,13 +121,8 @@ class TestStoreConformance:
     def test_iter_nonzero_identical(self):
         rows = [list(self.drive(make_store(v)).iter_nonzero())
                 for v in STORE_VARIANTS]
-        assert rows[0] == rows[1] == rows[2]
+        assert rows[0] == rows[1]
         assert all(lbn != 400 for lbn, _ in rows[0])  # zeros canonicalized
-
-    def test_flat_view_identical(self):
-        views = [bytes(self.drive(make_store(v)).flat_view(512))
-                 for v in STORE_VARIANTS]
-        assert views[0] == views[1] == views[2]
 
 
 class TestPrefetchCache:

@@ -1,30 +1,20 @@
-"""FlatSectorStore vs the dict-backed oracle, under random interleavings.
+"""SectorStore vs the dict-backed oracle, under random interleavings.
 
-The flat store is a performance substitution, not a behavior change: any
-sequence of ``read`` / ``write`` / ``write_partial`` / ``snapshot`` /
-``digest`` / ``iter_nonzero`` / ``flat_view`` calls must be observation-
-identical to the reference ``SectorStore`` -- on the numpy backing *and*
-on the pure-python ``bytearray`` fallback.  A tracemalloc check also pins
-the flat store's O(1)-allocations write path (the dict store allocates one
-``bytes`` per sector).
+The chunked flat store is a performance substitution, not a behavior
+change: any sequence of ``read`` / ``write`` / ``write_partial`` /
+``snapshot`` / ``digest`` / ``iter_nonzero`` calls must be observation-
+identical to :class:`~tests.disk.dict_store.DictSectorStore`.  A
+tracemalloc check also pins the flat store's O(1)-allocations write path
+(the dict store allocates one ``bytes`` per sector).
 """
 
+import inspect
 import tracemalloc
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.disk import DiskGeometry, FlatSectorStore, SectorStore
-from repro.disk import storage as storage_mod
-
-
-def flat_store(geometry, fallback: bool) -> FlatSectorStore:
-    store = FlatSectorStore(geometry)
-    if fallback:
-        # force the pure-python digest/scan path regardless of numpy
-        store._use_np = False
-        store.backend = "bytearray"
-    return store
+from repro.disk import DiskGeometry, SectorStore
+from tests.disk.dict_store import DictSectorStore
 
 
 SECTOR = 512
@@ -68,7 +58,6 @@ def apply_ops(store, op_list):
             observed.append((len(store), store.sectors_written))
     observed.append(store.digest())
     observed.append(list(store.iter_nonzero()))
-    observed.append(bytes(store.flat_view(610)))
     observed.append((store.sectors_written, len(store)))
     return observed
 
@@ -78,34 +67,14 @@ class TestRandomInterleavings:
     @given(op_list=ops)
     def test_flat_matches_oracle(self, op_list):
         geometry = DiskGeometry()
-        reference = apply_ops(SectorStore(geometry), op_list)
-        assert apply_ops(flat_store(geometry, fallback=False),
-                         op_list) == reference
-
-    @settings(max_examples=60, deadline=None)
-    @given(op_list=ops)
-    def test_fallback_backing_matches_oracle(self, op_list):
-        geometry = DiskGeometry()
-        reference = apply_ops(SectorStore(geometry), op_list)
-        assert apply_ops(flat_store(geometry, fallback=True),
-                         op_list) == reference
-
-    def test_fallback_used_when_numpy_missing(self, monkeypatch):
-        """With numpy unimportable the flat store must still construct and
-        conform (CI's numpy-free tier-1 legs run the whole suite this way;
-        this pins the selection logic itself)."""
-        monkeypatch.setattr(storage_mod, "_np", None)
-        store = storage_mod.FlatSectorStore(DiskGeometry())
-        assert store.backend == "bytearray"
-        store.write(5, b"\x09" * SECTOR)
-        assert store.read(5) == b"\x09" * SECTOR
-        reference = SectorStore(DiskGeometry())
-        reference.write(5, b"\x09" * SECTOR)
-        assert store.digest() == reference.digest()
+        reference = apply_ops(DictSectorStore(geometry), op_list)
+        assert apply_ops(SectorStore(geometry), op_list) == reference
 
 
 class TestWritePathAllocations:
     def measure(self, store, lbn, payload):
+        """Bytes retained by allocations made in *store*'s own module."""
+        source = inspect.getsourcefile(type(store))
         tracemalloc.start()
         before = tracemalloc.take_snapshot()
         store.write(lbn, payload)
@@ -113,8 +82,8 @@ class TestWritePathAllocations:
         tracemalloc.stop()
         return sum(stat.size_diff
                    for stat in after.compare_to(before, "filename")
-                   if "storage.py" in (stat.traceback[0].filename
-                                       if stat.traceback else ""))
+                   if stat.traceback
+                   and stat.traceback[0].filename == source)
 
     def test_flat_write_does_not_copy_per_sector(self):
         """A large write into pre-grown backing must not allocate per
@@ -124,11 +93,11 @@ class TestWritePathAllocations:
         nsectors = 512
         payload = b"\xa5" * (SECTOR * nsectors)
 
-        flat = FlatSectorStore(geometry)
+        flat = SectorStore(geometry)
         flat.write(0, payload)  # pre-grow so _ensure is out of the picture
         flat_bytes = self.measure(flat, 0, payload)
 
-        reference = SectorStore(geometry)
+        reference = DictSectorStore(geometry)
         reference.write(0, payload)
         dict_bytes = self.measure(reference, 0, payload)
 

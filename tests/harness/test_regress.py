@@ -51,6 +51,12 @@ class TestStratum:
         assert stratum_of(session(BASELINE, store="dict")) \
             != stratum_of(session(BASELINE))
 
+    def test_numpy_availability_is_not_a_stratum(self):
+        # older sessions stamped host.numpy; nothing reads it any more
+        with_numpy = session(BASELINE)
+        with_numpy["host"]["numpy"] = True
+        assert stratum_of(with_numpy) == stratum_of(session(BASELINE))
+
     def test_migrated_legacy_record_matches_nothing_real(self):
         legacy = {"wall_seconds": 1.0, "host": {}, "kernel": None,
                   "scale": None, "jobs": None}

@@ -74,6 +74,18 @@ class TestCleanImages:
         assert not report.clean
         assert "superblock" in report.errors[0]
 
+    def test_garbage_superblock_short_circuits(self):
+        """An unreadable superblock on a populated image is the whole
+        report: no inode or bitmap scan runs against a geometry fsck
+        could not read."""
+        m = build_populated_machine()
+        m.disk.storage.write(SMALL_GEOMETRY.superblock_daddr * 2,
+                             b"\x00" * 512)
+        report = fsck(m.disk.storage, SMALL_GEOMETRY)
+        assert len(report.errors) == 1
+        assert "superblock" in report.errors[0]
+        assert not report.warnings and not report.inodes
+
 
 class TestDamageDetection:
     def test_entry_to_unallocated_inode(self):

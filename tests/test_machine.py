@@ -1,5 +1,11 @@
 """Tests for the Machine assembly and its setup conveniences."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.driver import ChainsPolicy, FlagPolicy, FlagSemantics
@@ -107,3 +113,31 @@ class TestRun:
         machine.sync_and_settle()
         assert not machine.cache.dirty_buffers()
         assert machine.scheme.pending_work() == 0
+
+
+class TestImportFootprint:
+    def test_running_a_machine_never_imports_numpy(self):
+        """The simulator is pure stdlib: building, formatting and running a
+        machine (and digesting its disk) must not pull numpy in, which
+        would cost every benchmark process its import time and memory."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.machine import Machine, MachineConfig
+            from repro.ordering import SoftUpdatesScheme
+
+            machine = Machine(MachineConfig(scheme=SoftUpdatesScheme()))
+            machine.format()
+
+            def user():
+                yield from machine.fs.write_file("/f", b"x" * 10000)
+
+            machine.run(machine.spawn(user()))
+            machine.sync_and_settle()
+            machine.disk.storage.digest()
+            print("numpy" in sys.modules)
+        """)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
