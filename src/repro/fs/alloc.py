@@ -25,7 +25,7 @@ around them.
 from __future__ import annotations
 
 import struct
-from typing import Generator, Optional
+from typing import Generator, Iterable, Iterator, Optional
 
 from repro.cache.buffercache import BufferCache
 from repro.fs.layout import FSGeometry
@@ -58,6 +58,43 @@ _FIRST_RUN = [[_first_free_run_in_byte(byte, count) for count in range(1, 9)]
 _RUN_MATCH = [bytes(1 if (byte and _FIRST_RUN[byte][slot] >= 0) else 0
                     for byte in range(256))
               for slot in range(8)]
+
+
+#: whole-bitmap scans: NONZERO flags the bytes holding any set bit (so
+#: bytes.find skips empty stretches at C speed), BITS lists a byte's set
+#: bit offsets, INVERT flips every bit
+_NONZERO = bytes(1 if byte else 0 for byte in range(256))
+_BITS = [tuple(bit for bit in range(8) if byte >> bit & 1)
+         for byte in range(256)]
+_INVERT = bytes(255 - byte for byte in range(256))
+
+
+def bitmap_of(indexes: Iterable[int], nbits: int) -> bytearray:
+    """A bitmap of *nbits* bits with exactly *indexes* set."""
+    bitmap = bytearray((nbits + 7) // 8)
+    for index in indexes:
+        bitmap[index >> 3] |= 1 << (index & 7)
+    return bitmap
+
+
+def bitmap_indexes(bitmap: bytes, nbits: int,
+                   value: bool = True) -> Iterator[int]:
+    """Ascending indexes below *nbits* whose bit in *bitmap* is *value*.
+
+    Bit *i* lives in byte ``i // 8`` at bit ``i % 8``, the on-disk order.
+    Only bytes holding a match are visited bit by bit.
+    """
+    if not value:
+        bitmap = bitmap.translate(_INVERT)
+    flags = bitmap.translate(_NONZERO)
+    at = flags.find(1)
+    while at >= 0:
+        base = at * 8
+        for bit in _BITS[bitmap[at]]:
+            if base + bit >= nbits:
+                return
+            yield base + bit
+        at = flags.find(1, at + 1)
 
 
 class CgView:
@@ -110,6 +147,41 @@ class CgView:
             self.data[base + index // 8] |= 1 << (index % 8)
         else:
             self.data[base + index // 8] &= ~(1 << (index % 8)) & 0xFF
+
+    # -- whole bitmaps -----------------------------------------------------------
+    # Bits past ``ipg`` / ``dfrags_per_cg`` in a partial last byte are not
+    # part of either bitmap: reads report them clear, writes keep them.
+    def inode_bitmap(self) -> bytes:
+        """The inode bitmap, bit *i* = inode index *i* in use."""
+        return self._read_bitmap(self._ibm_at, self.geometry.ipg)
+
+    def write_inode_bitmap(self, bitmap: bytes) -> None:
+        self._write_bitmap(self._ibm_at, self.geometry.ipg, bitmap)
+
+    def frag_bitmap(self) -> bytes:
+        """The fragment bitmap, bit *i* = data fragment index *i* in use."""
+        return self._read_bitmap(self._fbm_at, self.geometry.dfrags_per_cg)
+
+    def write_frag_bitmap(self, bitmap: bytes) -> None:
+        self._write_bitmap(self._fbm_at, self.geometry.dfrags_per_cg, bitmap)
+
+    def _read_bitmap(self, base: int, nbits: int) -> bytes:
+        end = base + (nbits + 7) // 8
+        bitmap = bytearray(self.data[base:end])
+        if nbits % 8:
+            bitmap[-1] &= (1 << nbits % 8) - 1
+        return bytes(bitmap)
+
+    def _write_bitmap(self, base: int, nbits: int, bitmap: bytes) -> None:
+        end = base + (nbits + 7) // 8
+        if len(bitmap) != end - base:
+            raise ValueError(f"bitmap of {len(bitmap)} bytes for {nbits} "
+                             f"bits")
+        tail = self.data[end - 1]
+        self.data[base:end] = bitmap
+        if nbits % 8:
+            mask = (1 << nbits % 8) - 1
+            self.data[end - 1] = (bitmap[-1] & mask) | (tail & ~mask & 0xFF)
 
     # -- inode bitmap -----------------------------------------------------------
     def inode_used(self, index: int) -> bool:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 
 class FileType(enum.IntEnum):
@@ -82,57 +83,65 @@ class FSGeometry:
             # a handful of block images, commit) with slack to circulate
             raise ValueError("journal area must be 0 or at least 24 frags")
 
-    # -- derived sizes ---------------------------------------------------
-    @property
+    def __getstate__(self) -> dict:
+        # the derived sizes below cache into the instance dict; a pickle
+        # carries the fields only, like equality, hash and replace()
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    # -- derived sizes (computed once per instance: the geometry is frozen)
+    @cached_property
     def frags_per_block(self) -> int:
         return self.block_size // self.frag_size
 
-    @property
+    @cached_property
     def inodes_per_block(self) -> int:
         return self.block_size // INODE_SIZE
 
-    @property
+    @cached_property
     def inode_blocks_per_cg(self) -> int:
         return self.ipg // self.inodes_per_block
 
-    @property
+    @cached_property
+    def cg_data_offset(self) -> int:
+        """Fragments from a cylinder group's header to its data area."""
+        return (1 + self.inode_blocks_per_cg) * self.frags_per_block
+
+    @cached_property
     def cg_frags(self) -> int:
         """Total fragments per cylinder group (header + inodes + data)."""
-        return (self.frags_per_block
-                + self.inode_blocks_per_cg * self.frags_per_block
-                + self.dfrags_per_cg)
+        return self.cg_data_offset + self.dfrags_per_cg
 
-    @property
+    @cached_property
     def cg_start(self) -> int:
         """Fragment address of cylinder group 0 (after boot + superblock)."""
         return 2 * self.frags_per_block
 
-    @property
+    @cached_property
     def superblock_daddr(self) -> int:
         return self.frags_per_block
 
-    @property
+    @cached_property
     def journal_start(self) -> int:
         """Fragment address of the journal header (just past the last cg)."""
         return self.cg_start + self.ncg * self.cg_frags
 
-    @property
+    @cached_property
     def total_frags(self) -> int:
         return self.journal_start + self.journal_frags
 
-    @property
+    @cached_property
     def total_inodes(self) -> int:
         return self.ncg * self.ipg
 
     #: direct pointers per inode and indirect fan-out
     NDADDR = 12
 
-    @property
+    @cached_property
     def nindir(self) -> int:
         """Pointers per indirect block."""
         return self.block_size // 4
 
-    @property
+    @cached_property
     def max_file_blocks(self) -> int:
         return self.NDADDR + self.nindir + self.nindir * self.nindir
 
@@ -148,8 +157,7 @@ class FSGeometry:
 
     def cg_data_start(self, cg: int) -> int:
         """Fragment address of *cg*'s data area."""
-        return (self.cg_inode_table(cg)
-                + self.inode_blocks_per_cg * self.frags_per_block)
+        return self.cg_base(cg) + self.cg_data_offset
 
     def cg_of_inode(self, ino: int) -> int:
         self._check_ino(ino)

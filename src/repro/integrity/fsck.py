@@ -30,6 +30,13 @@ folds the streams into the global claim table and reference map in
 ascending inode order.  The online monitor (:mod:`repro.integrity.monitor`)
 reuses the pure scans so its claim semantics match fsck's exactly.
 
+The bitmap phase works on whole bitmaps: it builds the bitmaps the claim
+table and the allocated inodes call for, compares them with the on-disk
+bytes and visits only the bits that differ, so a consistent group costs a
+few byte operations instead of one Python step per fragment.  Repair
+writes the rebuilt bitmaps whole and counts the free totals by popcount.
+The inode scan unpacks only the slots whose mode is nonzero.
+
 The audit is serial: on this simulator's images, a few cylinder groups
 each, a pFSCK-style per-cylinder-group process pool (arxiv 2004.05524)
 runs at a quarter to a third of the serial audit's speed, because forking
@@ -43,7 +50,7 @@ from dataclasses import dataclass, field
 
 from repro.disk.storage import SectorStore
 from repro.fs import directory, journal
-from repro.fs.alloc import CG_MAGIC, CgView
+from repro.fs.alloc import CG_MAGIC, CgView, bitmap_indexes, bitmap_of
 from repro.fs.layout import Dinode, FileType, FSGeometry, ROOT_INO
 from repro.fs.superblock import Superblock
 
@@ -97,7 +104,8 @@ def scan_cg_inodes(image: SectorStore, geo: FSGeometry,
 
     Reads each inode-table block once (not once per inode slot) -- the
     dinodes and their order are exactly what a per-slot walk produces, so
-    replaying the result is byte-identical to the slot-by-slot scan.
+    replaying the result is byte-identical to the slot-by-slot scan.  A
+    slot whose mode bytes are zero is free and is not unpacked.
     """
     table = geo.cg_inode_table(cg)
     per_block = geo.inodes_per_block
@@ -109,11 +117,10 @@ def scan_cg_inodes(image: SectorStore, geo: FSGeometry,
         base = cg * geo.ipg + block_index * per_block
         for slot in range(per_block):
             ino = base + slot
-            if ino < ROOT_INO:
-                continue  # burned inodes
-            din = Dinode.unpack(raw[slot * 128:(slot + 1) * 128])
-            if din.allocated:
-                out.append((ino, din))
+            at = slot * 128
+            if ino < ROOT_INO or not (raw[at] or raw[at + 1]):
+                continue  # burned inodes, free slots (mode 0)
+            out.append((ino, Dinode.unpack(raw[at:at + 128])))
     return out
 
 
@@ -162,11 +169,10 @@ def journal_overlay_view(image: SectorStore, geo: FSGeometry):
 
 
 def valid_data_frag(geo: FSGeometry, daddr: int) -> bool:
-    try:
-        geo.data_index(daddr)
-        return True
-    except ValueError:
-        return False
+    """Whether *daddr* lies in some cylinder group's data area."""
+    offset = daddr - geo.cg_start
+    return (0 <= offset and daddr < geo.journal_start
+            and offset % geo.cg_frags >= geo.cg_data_offset)
 
 
 def block_frags(geo: FSGeometry, din: Dinode, lblk: int) -> int:
@@ -182,47 +188,54 @@ def block_frags(geo: FSGeometry, din: Dinode, lblk: int) -> int:
     return max(1, (tail + geo.frag_size - 1) // geo.frag_size)
 
 
+def _claim(ops: list[tuple], geo: FSGeometry, ino: int, daddr: int,
+           frags: int) -> None:
+    for fragment in range(daddr, daddr + frags):
+        if not valid_data_frag(geo, fragment):
+            ops.append(("error",
+                        f"inode {ino} points outside the data area "
+                        f"(daddr {fragment})"))
+            return
+        ops.append(("frag", fragment))
+
+
+def _claim_indirect(ops: list[tuple], image: SectorStore, geo: FSGeometry,
+                    ino: int, daddr: int, depth: int) -> None:
+    if not valid_data_frag(geo, daddr):
+        ops.append(("error",
+                    f"inode {ino} indirect pointer outside data area "
+                    f"({daddr})"))
+        return
+    _claim(ops, geo, ino, daddr, geo.frags_per_block)
+    raw = read_image_frags(image, geo, daddr, geo.frags_per_block)
+    for pointer in struct.unpack(f"<{geo.nindir}I", raw):
+        if not pointer:
+            continue
+        if depth > 1:
+            _claim_indirect(ops, image, geo, ino, pointer, depth - 1)
+        else:
+            _claim(ops, geo, ino, pointer, geo.frags_per_block)
+
+
 def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
                     din: Dinode) -> list[tuple]:
     """Phase-1 op-stream for one inode: ``("frag", daddr)`` claims (in the
     exact order the serial walk visits them) and ``("error", msg)`` for
-    pointers that leave the data area."""
+    pointers that leave the data area.
+
+    The walkers are module functions, not closures: a self-recursive
+    closure is a reference cycle that would keep *image* alive until the
+    next full garbage collection."""
     ops: list[tuple] = []
-
-    def claim(daddr: int, frags: int) -> None:
-        for fragment in range(daddr, daddr + frags):
-            if not valid_data_frag(geo, fragment):
-                ops.append(("error",
-                            f"inode {ino} points outside the data area "
-                            f"(daddr {fragment})"))
-                return
-            ops.append(("frag", fragment))
-
-    def claim_indirect(daddr: int, depth: int) -> None:
-        if not valid_data_frag(geo, daddr):
-            ops.append(("error",
-                        f"inode {ino} indirect pointer outside data area "
-                        f"({daddr})"))
-            return
-        claim(daddr, geo.frags_per_block)
-        raw = read_image_frags(image, geo, daddr, geo.frags_per_block)
-        for pointer in struct.unpack(f"<{geo.nindir}I", raw):
-            if not pointer:
-                continue
-            if depth > 1:
-                claim_indirect(pointer, depth - 1)
-            else:
-                claim(pointer, geo.frags_per_block)
-
     blocks = (din.size + geo.block_size - 1) // geo.block_size
     for lblk in range(min(blocks, geo.NDADDR)):
         daddr = din.direct[lblk]
         if daddr:
-            claim(daddr, block_frags(geo, din, lblk))
+            _claim(ops, geo, ino, daddr, block_frags(geo, din, lblk))
     if din.sindirect:
-        claim_indirect(din.sindirect, depth=1)
+        _claim_indirect(ops, image, geo, ino, din.sindirect, depth=1)
     if din.dindirect:
-        claim_indirect(din.dindirect, depth=2)
+        _claim_indirect(ops, image, geo, ino, din.dindirect, depth=2)
     return ops
 
 
@@ -269,13 +282,49 @@ def directory_events(image: SectorStore, geo: FSGeometry, ino: int,
     return events
 
 
+def _differing_bits(ondisk: bytes, wanted: bytes, nbits: int,
+                    skip: int = 0):
+    """Ascending indexes in [*skip*, *nbits*) where two bitmaps differ."""
+    diff = int.from_bytes(ondisk, "little") ^ int.from_bytes(wanted, "little")
+    diff = diff >> skip << skip
+    if not diff:
+        return ()
+    return bitmap_indexes(diff.to_bytes(len(ondisk), "little"), nbits)
+
+
+def _bit(bitmap: bytes, index: int) -> int:
+    return bitmap[index >> 3] >> (index & 7) & 1
+
+
+def _wanted_bitmaps(geo: FSGeometry, cg: int, claims,
+                   inodes) -> tuple[bytearray, bytearray]:
+    """The fragment and inode bitmaps *cg* should hold: a fragment is used
+    iff its daddr is in *claims*, an inode iff it is in *inodes* or is one
+    of the burned inodes below ``ROOT_INO``.  Both may name any group's
+    numbers; only this group's are taken."""
+    base = geo.cg_data_start(cg)
+    span = range(base, base + geo.dfrags_per_cg)
+    frags = bitmap_of((daddr - base for daddr in claims if daddr in span),
+                      geo.dfrags_per_cg)
+    first = cg * geo.ipg
+    group = range(first, first + geo.ipg)
+    used = [ino - first for ino in inodes if ino in group]
+    used.extend(ino - first for ino in range(first, ROOT_INO))
+    return frags, bitmap_of(used, geo.ipg)
+
+
 def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
                        claims: dict[int, int],
                        allocated) -> list[tuple[str, str]]:
     """Phase-4 findings for one cylinder group: ``(kind, msg)`` tuples,
     kind ``"error"`` or ``"warning"``.  *claims* maps fragment daddr ->
-    owning ino (may be restricted to this group's range); *allocated* is a
-    container answering ``ino in allocated``."""
+    owning ino (may be restricted to this group's range); *allocated*
+    iterates the allocated inode numbers (any group's).
+
+    The claims and *allocated* give the bitmaps the group should hold;
+    only the bits where those differ from the on-disk bitmaps are visited,
+    fragments first, each in ascending order.  The burned inodes below
+    ``ROOT_INO`` are never reported."""
     findings: list[tuple[str, str]] = []
     raw = bytearray(read_image_frags(image, geo, geo.cg_base(cg),
                                      geo.frags_per_block))
@@ -283,35 +332,47 @@ def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
     if view.magic != CG_MAGIC:
         findings.append(("error", f"cylinder group {cg} bad magic"))
         return findings
+    frags, inodes = _wanted_bitmaps(geo, cg, claims, allocated)
     base = geo.cg_data_start(cg)
-    for index in range(geo.dfrags_per_cg):
+    for index in _differing_bits(view.frag_bitmap(), frags,
+                                 geo.dfrags_per_cg):
         daddr = base + index
-        used = view.frag_used(index)
-        claimed = daddr in claims
-        if claimed and not used:
+        if _bit(frags, index):
             findings.append(("warning",
                              f"fragment {daddr} in use by inode "
                              f"{claims[daddr]} but marked free "
                              f"(fsck repairs)"))
-        elif used and not claimed:
+        else:
             findings.append(("warning",
                              f"fragment {daddr} marked used but "
                              f"unreferenced (leak)"))
-    for index in range(geo.ipg):
-        ino = cg * geo.ipg + index
-        if ino < ROOT_INO:
-            continue
-        used = view.inode_used(index)
-        is_alloc = ino in allocated
-        if is_alloc and not used:
+    first = cg * geo.ipg
+    for index in _differing_bits(view.inode_bitmap(), inodes, geo.ipg,
+                                 skip=max(0, ROOT_INO - first)):
+        ino = first + index
+        if _bit(inodes, index):
             findings.append(("warning",
                              f"inode {ino} allocated but bitmap says free "
                              f"(fsck repairs)"))
-        elif used and not is_alloc and ino != ROOT_INO:
+        elif ino != ROOT_INO:
             findings.append(("warning",
                              f"inode {ino} bitmap used but dinode free "
                              f"(leak)"))
     return findings
+
+
+def rebuild_cg_bitmaps(raw: bytearray, geo: FSGeometry, cg: int,
+                       claims, live) -> None:
+    """Rewrite one cylinder-group header's bitmaps and free counts in place
+    to :func:`_wanted_bitmaps` of *claims* and the *live* inodes."""
+    view = CgView(raw, geo)
+    frags, inodes = _wanted_bitmaps(geo, cg, claims, live)
+    view.write_frag_bitmap(frags)
+    view.write_inode_bitmap(inodes)
+    view.free_frags = (geo.dfrags_per_cg
+                       - int.from_bytes(frags, "little").bit_count())
+    view.free_inodes = (geo.ipg
+                        - int.from_bytes(inodes, "little").bit_count())
 
 
 class _Checker:
@@ -427,7 +488,6 @@ def repair(image: SectorStore,
     :func:`fsck` first.
     """
     geometry = geometry or FSGeometry()
-    report = fsck(image, geometry)
     geo = Superblock.unpack(image.read(
         geometry.superblock_daddr * (geometry.frag_size
                                      // image.geometry.sector_size),
@@ -488,26 +548,11 @@ def repair(image: SectorStore,
     # rebuild the bitmaps from the surviving (non-orphan) claims
     claims = {daddr for daddr, owner in checker.claims.items()
               if owner not in orphans}
+    live = [ino for ino in checker.report.inodes if ino not in orphans]
     for cg in range(geo.ncg):
         raw = bytearray(image.read(geo.cg_base(cg) * spf,
                                    geo.frags_per_block * spf))
-        view = CgView(raw, geo)
-        base = geo.cg_data_start(cg)
-        free_frags = free_inodes = 0
-        for index in range(geo.dfrags_per_cg):
-            wanted = (base + index) in claims
-            if view.frag_used(index) != wanted:
-                view.set_frags(index, 1, wanted)
-            free_frags += 0 if wanted else 1
-        for index in range(geo.ipg):
-            ino = cg * geo.ipg + index
-            wanted = (ino < ROOT_INO and cg == 0) or (
-                ino in checker.report.inodes and ino not in orphans)
-            if view.inode_used(index) != wanted:
-                view.set_inode(index, wanted)
-            free_inodes += 0 if wanted else 1
-        view.free_frags = free_frags
-        view.free_inodes = free_inodes
+        rebuild_cg_bitmaps(raw, geo, cg, claims, live)
         image.write(geo.cg_base(cg) * spf, bytes(raw))
 
     return fsck(image, geometry)

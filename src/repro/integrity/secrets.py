@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 
 from repro.disk.storage import SectorStore
-from repro.fs.alloc import CgView
+from repro.fs.alloc import CgView, bitmap_indexes
 from repro.fs.layout import FileType, FSGeometry
 from repro.integrity.fsck import fsck, journal_overlay_view, valid_data_frag
 
@@ -35,12 +35,11 @@ def plant_secrets(image: SectorStore, geometry: FSGeometry) -> int:
     for cg in range(geometry.ncg):
         raw = bytearray(image.read(geometry.cg_base(cg) * spf,
                                    geometry.frags_per_block * spf))
-        view = CgView(raw, geometry)
         base = geometry.cg_data_start(cg)
-        for index in range(geometry.dfrags_per_cg):
-            if not view.frag_used(index):
-                image.write((base + index) * spf, marker)
-                planted += 1
+        for index in bitmap_indexes(CgView(raw, geometry).frag_bitmap(),
+                                    geometry.dfrags_per_cg, value=False):
+            image.write((base + index) * spf, marker)
+            planted += 1
     return planted
 
 

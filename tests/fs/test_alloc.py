@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fs.alloc import CG_MAGIC, CgView
+from repro.fs.alloc import CG_MAGIC, CgView, bitmap_indexes, bitmap_of
 from repro.fs.layout import FSGeometry
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
 
@@ -33,6 +33,36 @@ class TestCgView:
         assert view.free_frags == GEO.dfrags_per_cg - 3
         view.set_frags(10, 3, False)
         assert view.free_frags == GEO.dfrags_per_cg
+
+    def test_whole_bitmaps_round_trip_through_the_bits(self):
+        view = fresh_view()
+        view.set_frags(9, 3, True)
+        view.set_inode(5, True)
+        frags = view.frag_bitmap()
+        assert len(frags) == GEO.dfrags_per_cg // 8
+        assert list(bitmap_indexes(frags, GEO.dfrags_per_cg)) == [9, 10, 11]
+        assert list(bitmap_indexes(view.inode_bitmap(), GEO.ipg)) == [5]
+        view.write_frag_bitmap(bitmap_of([0, 2047], GEO.dfrags_per_cg))
+        assert [i for i in range(GEO.dfrags_per_cg)
+                if view.frag_used(i)] == [0, 2047]
+        free = list(bitmap_indexes(view.frag_bitmap(), GEO.dfrags_per_cg,
+                                   value=False))
+        assert free == list(range(1, 2047))
+
+    def test_partial_last_byte_bits_are_outside_the_bitmap(self):
+        geo = FSGeometry(block_size=4096, ipg=64, dfrags_per_cg=2044, ncg=2)
+        data = bytearray(b"\xff" * geo.block_size)
+        view = CgView(data, geo)
+        tail = 64 + geo.ipg // 8 + geo.dfrags_per_cg // 8
+        frags = view.frag_bitmap()
+        assert len(frags) == 256 and frags[-1] == 0x0F
+        assert list(bitmap_indexes(frags, geo.dfrags_per_cg,
+                                   value=False)) == []
+        view.write_frag_bitmap(bytes(len(frags)))
+        assert data[tail] == 0xF0  # the four bits past 2044 kept
+        assert not any(view.frag_used(i) for i in range(geo.dfrags_per_cg))
+        with pytest.raises(ValueError):
+            view.write_frag_bitmap(bytes(len(frags) + 1))
 
     def test_double_set_rejected(self):
         view = fresh_view()

@@ -1,5 +1,8 @@
 """Unit tests for on-disk layout, Dinode and Superblock codecs."""
 
+import pickle
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +56,34 @@ class TestGeometry:
             FSGeometry(ncg=0)
         with pytest.raises(ValueError):
             FSGeometry(ipg=100)  # not whole inode blocks
+
+    def test_cached_sizes_leave_identity_to_the_fields(self):
+        """Equality, hash, pickling and replace() see the fields only."""
+        warm, cold = FSGeometry(ncg=3), FSGeometry(ncg=3)
+        sizes = [warm.frags_per_block, warm.inode_blocks_per_cg,
+                 warm.cg_data_offset, warm.cg_frags, warm.cg_start,
+                 warm.journal_start, warm.total_frags, warm.total_inodes,
+                 warm.nindir, warm.max_file_blocks]
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        clone = pickle.loads(pickle.dumps(warm))
+        assert clone == warm and hash(clone) == hash(warm)
+        assert [clone.frags_per_block, clone.inode_blocks_per_cg,
+                clone.cg_data_offset, clone.cg_frags, clone.cg_start,
+                clone.journal_start, clone.total_frags, clone.total_inodes,
+                clone.nindir, clone.max_file_blocks] == sizes
+        # replace() derives fresh sizes, never the source's cached ones
+        small = replace(warm, block_size=4096, ipg=64, dfrags_per_cg=2044)
+        assert small == FSGeometry(block_size=4096, ipg=64,
+                                   dfrags_per_cg=2044, ncg=3)
+        assert small.frags_per_block == 4
+        assert small.inode_blocks_per_cg == 2
+        assert small.cg_frags == 4 + 2 * 4 + 2044
+        assert replace(warm, ncg=5).journal_start == (
+            warm.cg_start + 5 * warm.cg_frags)
+        with pytest.raises(FrozenInstanceError):
+            warm.ncg = 4
 
 
 class TestDinode:

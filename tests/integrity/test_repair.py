@@ -2,9 +2,13 @@
 require after a crash: 'each requires assistance provided by the fsck
 utility when recovering from system failure')."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.integrity import CrashScheduler, fsck, repair
+from repro.integrity.fsck import inode_claim_ops
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
 from tests.integrity.test_crash import churn_workload
 
@@ -95,3 +99,28 @@ def test_repaired_image_is_mountable_and_usable():
     assert run_user(reborn, user()) == b"alive"
     final = fsck(reborn.disk.storage, SMALL_GEOMETRY)
     assert final.clean and not final.warnings
+
+
+def test_claim_walk_and_repair_free_the_image_without_a_collection():
+    """No reference cycle holds a crash image: with the cyclic collector
+    off, a snapshot walked by ``inode_claim_ops`` and repaired is freed
+    the moment its last strong reference goes (its copied-on-write chunks
+    with it)."""
+    machine = make_machine("softupdates")
+    image = CrashScheduler(machine).run_and_crash(
+        churn_workload(machine, seed=4, operations=35), crash_at=2.0)
+    report = fsck(image, SMALL_GEOMETRY)
+    assert report.inodes
+    gc.collect()
+    gc.disable()
+    try:
+        snapshot = image.snapshot()
+        alive = weakref.ref(snapshot)
+        for ino, din in report.inodes.items():
+            inode_claim_ops(snapshot, SMALL_GEOMETRY, ino, din)
+        repaired = repair(snapshot, SMALL_GEOMETRY)
+        del snapshot
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert repaired.clean and not repaired.warnings
