@@ -64,7 +64,13 @@ def test_table3_andrew(once):
     # the compile phase dominates the total for every scheme
     for name, result in results.items():
         assert result.phases["compile"][0] > 0.5 * result.total[0]
-    # totals: conventional slowest, soft updates within a few % of no order
+    # totals: conventional slowest of the paper's five schemes, soft
+    # updates within a few % of no order
     totals = {name: result.total[0] for name, result in results.items()}
-    assert totals["Conventional"] == max(totals.values())
+    paper_five = [name for name in STANDARD_SCHEMES if name != "Journaling"]
+    assert totals["Conventional"] == max(totals[name] for name in paper_five)
     assert totals["Soft Updates"] <= totals["No Order"] * 1.05
+    # journaling is not one of the paper's five: its synchronous log writes
+    # cost more than conventional's synchronous metadata writes (table 1
+    # puts it at 259-314% of No Order, conventional at 120-158%)
+    assert totals["Journaling"] > totals["Conventional"]

@@ -28,9 +28,10 @@ every pending request lives in exactly one bucket:
   dependency each; a completion wakes exactly its watchers.
 * ``_read_waiters`` -- conflict-checked reads watching the specific
   incomplete write that blocks them.
-* ``_generic_held`` -- fallback for policies with no declared structure;
-  rechecked wholesale on every issue/completion (the old cost, paid only by
-  third-party policies).
+
+The per-sector write FIFO (``_write_fifo``) is the driver's one write-order
+index: it answers both whether a write may go to the media yet and whether
+a conflict-checked read overlaps an older incomplete write.
 
 Bucket transitions happen on issue, on completion, and on policy release
 (barrier retirement / dependency completion -- both surfaced through
@@ -53,6 +54,9 @@ from repro.disk.drive import Disk
 from repro.driver.ordering import OrderingPolicy
 from repro.driver.request import DiskRequest, IOKind
 
+#: the wake structures a policy may declare (see ``OrderingPolicy``)
+ELIGIBILITY_MODES = ("none", "monotone", "deps")
+
 
 class DeviceDriver:
     """Queues requests, enforces ordering policy, drives the disk."""
@@ -60,6 +64,11 @@ class DeviceDriver:
     def __init__(self, engine: Engine, disk: Disk, policy: OrderingPolicy,
                  max_batch_sectors: int = 128, max_retries: int = 4,
                  retry_backoff: float = 0.01) -> None:
+        eligibility = getattr(policy, "eligibility", None)
+        if eligibility not in ELIGIBILITY_MODES:
+            raise ValueError(
+                f"ordering policy {policy.name!r} has unknown eligibility "
+                f"{eligibility!r}; expected one of {ELIGIBILITY_MODES}")
         self.engine = engine
         self.disk = disk
         self.policy = policy
@@ -97,7 +106,6 @@ class DeviceDriver:
         self._policy_held: list[int] = []
         self._dep_waiters: dict[int, list[int]] = {}
         self._read_waiters: dict[int, list[int]] = {}
-        self._generic_held: dict[int, DiskRequest] = {}
         #: completed requests, in completion order
         self.trace: list[DiskRequest] = []
         self.requests_issued = 0
@@ -151,8 +159,6 @@ class DeviceDriver:
             self._m_queue_peak.track_max(len(self._pending))
             if flag:
                 self._m_flagged.inc()
-        if self.policy.eligibility == "generic":
-            self._recheck_generic_eligible()
         self._classify(request)
         # broadcast, not signal: both the dispatch loop and any drain()
         # waiters sleep on the same queue and must all re-check
@@ -229,17 +235,13 @@ class DeviceDriver:
                 self._promote(request)
             else:
                 heapq.heappush(held, request.id)
-        elif eligibility == "deps":
+        else:  # "deps"
             blockers = policy.blocking_deps(request)
             if blockers:
                 self._dep_waiters.setdefault(blockers[0], []) \
                     .append(request.id)
             else:
                 self._promote(request)
-        elif policy.may_dispatch(request):
-            self._promote(request)
-        else:
-            self._generic_held[request.id] = request
 
     def _promote(self, request: DiskRequest) -> None:
         self._eligible[request.id] = request
@@ -262,7 +264,9 @@ class DeviceDriver:
         rule); the per-sector FIFO fronts are the oldest ids, so one
         comparison per sector decides.  Later writes never block an
         already-issued read -- which also means issuing a write can never
-        retract a read's eligibility.
+        retract a read's eligibility, and every wait in the driver points at
+        a strictly smaller issue id, so the wait graph stays acyclic (a read
+        waiting on a younger write could close a cycle through a barrier).
         """
         fifo = self._write_fifo
         request_id = request.id
@@ -271,15 +275,6 @@ class DeviceDriver:
             if ids and ids[0] < request_id:
                 return ids[0]
         return None
-
-    def _recheck_generic_eligible(self) -> None:
-        """Generic policies may retract eligibility on issue: recheck all."""
-        policy = self.policy
-        demoted = [request for request in self._eligible.values()
-                   if not policy.may_dispatch(request)]
-        for request in demoted:
-            self._remove_eligible(request)
-            self._generic_held[request.id] = request
 
     def _after_completions(self, batch: list[DiskRequest]) -> None:
         """Wake whatever this batch's completions made dispatchable."""
@@ -322,13 +317,6 @@ class DeviceDriver:
                 if not policy.may_dispatch(request):
                     break
                 heapq.heappop(held)
-                self._promote(request)
-        if self._generic_held:
-            policy = self.policy
-            released = [request for request in self._generic_held.values()
-                        if policy.may_dispatch(request)]
-            for request in released:
-                del self._generic_held[request.id]
                 self._promote(request)
 
     # -- the dispatch loop -------------------------------------------------

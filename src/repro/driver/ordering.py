@@ -2,7 +2,11 @@
 
 A policy answers one question for the elevator: *may this pending request be
 dispatched right now?*  All policies see every issue and completion so they
-can maintain whatever bookkeeping their semantics need.
+can maintain whatever bookkeeping their semantics need.  A policy decides
+only flag order and dependency order; overlap with other requests is the
+driver's business, decided by its per-sector write FIFO (overlapping writes
+reach the media in issue order, and a conflict-checked read waits for the
+older writes it overlaps).
 
 Flag semantics compared by the paper (figure 1):
 
@@ -17,7 +21,8 @@ Flag semantics compared by the paper (figure 1):
 
 ``-NR`` (any semantics): non-conflicting reads bypass writes that are waiting
 because of ordering restrictions.  A read conflicts if it overlaps an
-incomplete earlier write.
+incomplete earlier write; the policy admits every ``-NR`` read and the
+driver holds a conflicting one back.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ class OrderingPolicy:
     observable side effects -- the driver may call it zero, one, or many
     times per request.
 
-    ``eligibility`` tells the driver how blocked requests wake up:
+    ``eligibility`` tells the driver how blocked requests wake up; it has
+    no default, and the driver rejects any value but these three:
 
     * ``"none"`` -- ``may_dispatch`` is constant ``True``; nothing is ever
       policy-held.
@@ -60,19 +66,16 @@ class OrderingPolicy:
     * ``"deps"`` -- a request is held exactly while a dependency named by
       :meth:`blocking_deps` is incomplete (scheduler chains).  The driver
       watches one incomplete dependency at a time.
-    * ``"generic"`` -- no structure known; the driver conservatively
-      rechecks every held request on each issue and completion.  Safe for
-      third-party policies, and the only mode that pays the old full-scan
-      cost.
 
     ``conflict_checked_reads`` marks policies whose *read* admission is
     exactly "no overlap with an incomplete earlier write" (the ``-NR``
-    rule and chains' natural read bypass); the driver then wakes a held
-    read from the completion of the specific write blocking it.
+    rule and chains' natural read bypass).  The driver decides those reads
+    itself from its write FIFO and never asks the policy about them; it
+    wakes a held read from the completion of the specific write blocking
+    it.
     """
 
     name = "base"
-    eligibility = "generic"
     conflict_checked_reads = False
 
     def on_issue(self, request: DiskRequest) -> None:
@@ -90,58 +93,15 @@ class OrderingPolicy:
         return []
 
 
-class _ConflictTracker:
-    """Tracks sectors covered by incomplete writes, for -NR conflict checks.
-
-    A read conflicts only with an incomplete *earlier* write (the paper's
-    definition).  Counting later writes too -- a historical bug -- made the
-    wait graph cyclic: a barrier could wait on an old read, the read on a
-    younger overlapping write, and that write on the barrier, deadlocking
-    the queue.  With only earlier writes blocking, every wait in the driver
-    points at a strictly smaller issue id, so the graph is acyclic.
-
-    Per sector the incomplete write ids are kept in issue order; the driver
-    FIFO guarantees overlapping writes complete in issue order, so the
-    front entry is always the oldest -- one comparison answers the check.
-    """
-
-    def __init__(self) -> None:
-        self._cover: dict[int, deque[int]] = {}
-
-    def add(self, request: DiskRequest) -> None:
-        for sector in range(request.lbn, request.end_lbn):
-            ids = self._cover.get(sector)
-            if ids is None:
-                self._cover[sector] = deque((request.id,))
-            else:
-                ids.append(request.id)
-
-    def remove(self, request: DiskRequest) -> None:
-        for sector in range(request.lbn, request.end_lbn):
-            ids = self._cover[sector]
-            if ids[0] == request.id:
-                ids.popleft()
-            else:
-                ids.remove(request.id)
-            if not ids:
-                del self._cover[sector]
-
-    def read_conflicts(self, request: DiskRequest) -> bool:
-        for sector in range(request.lbn, request.end_lbn):
-            ids = self._cover.get(sector)
-            if ids and ids[0] < request.id:
-                return True
-        return False
-
-
 class FlagPolicy(OrderingPolicy):
     """Scheduler-enforced ordering via the one-bit flag.
 
     Eligibility is monotone in issue order for every flag meaning: a
     request is blocked exactly when some older flagged/incomplete work
     remains, a condition that only grows with the issue id.  (With
-    ``read_bypass`` the reads drop out of that ordering and are admitted on
-    the pure data-conflict check instead.)  The driver uses this to keep
+    ``read_bypass`` the reads drop out of that ordering: the policy admits
+    them, and the driver holds back only those overlapping an older
+    incomplete write.)  The driver uses this to keep
     held-back queues -- which reach thousands of requests under the remove
     benchmarks -- out of the per-dispatch scan entirely.
     """
@@ -152,7 +112,7 @@ class FlagPolicy(OrderingPolicy):
         self.read_bypass = read_bypass
         if semantics is FlagSemantics.IGNORE:
             # IGNORE admits everything unconditionally (even conflicting
-            # reads -- the FIFO below still serializes overlapping writes)
+            # reads -- the driver's FIFO still serializes overlapping writes)
             self.eligibility = "none"
             self.conflict_checked_reads = False
         else:
@@ -168,7 +128,6 @@ class FlagPolicy(OrderingPolicy):
         # BACK: flagged ids not yet retired (retired once everything issued
         # at-or-before them has completed); kept in issue order
         self._barriers: deque[int] = deque()
-        self._writes = _ConflictTracker()
 
     # -- bookkeeping ------------------------------------------------------
     def on_issue(self, request: DiskRequest) -> None:
@@ -178,14 +137,10 @@ class FlagPolicy(OrderingPolicy):
             self._flagged_incomplete.add(request.id)
             heapq.heappush(self._min_flagged_heap, request.id)
             self._barriers.append(request.id)
-        if request.is_write:
-            self._writes.add(request)
 
     def on_complete(self, request: DiskRequest) -> None:
         self._incomplete.discard(request.id)
         self._flagged_incomplete.discard(request.id)
-        if request.is_write:
-            self._writes.remove(request)
         self._retire_barriers()
 
     def _min_incomplete(self) -> int | None:
@@ -210,7 +165,7 @@ class FlagPolicy(OrderingPolicy):
         if self.semantics is FlagSemantics.IGNORE:
             return True
         if request.kind is IOKind.READ and self.read_bypass:
-            return not self._writes.read_conflicts(request)
+            return True
 
         if self.semantics is FlagSemantics.PART:
             floor = self._min_flagged_incomplete()
@@ -238,7 +193,7 @@ class ChainsPolicy(OrderingPolicy):
     A request is dispatchable once every request it names has completed.
     Reads carry no dependencies, so they bypass ordering queues naturally
     (the paper notes ``-NR`` "holds no meaning with scheduler chains"),
-    subject only to the data-conflict check.
+    subject only to the driver's data-conflict check.
     """
 
     name = "Chains"
@@ -247,7 +202,6 @@ class ChainsPolicy(OrderingPolicy):
 
     def __init__(self) -> None:
         self._incomplete: set[int] = set()
-        self._writes = _ConflictTracker()
 
     def on_issue(self, request: DiskRequest) -> None:
         bad = [dep for dep in request.depends_on if dep >= request.id]
@@ -256,17 +210,11 @@ class ChainsPolicy(OrderingPolicy):
                 f"request #{request.id} depends on not-yet-issued ids {bad}; "
                 f"chains may only reference previously issued requests")
         self._incomplete.add(request.id)
-        if request.is_write:
-            self._writes.add(request)
 
     def on_complete(self, request: DiskRequest) -> None:
         self._incomplete.discard(request.id)
-        if request.is_write:
-            self._writes.remove(request)
 
     def may_dispatch(self, request: DiskRequest) -> bool:
-        if request.kind is IOKind.READ:
-            return not self._writes.read_conflicts(request)
         return all(dep not in self._incomplete for dep in request.depends_on)
 
     def blocking_deps(self, request: DiskRequest) -> list[int]:

@@ -27,8 +27,11 @@ class ReferenceDriver(DeviceDriver):
 
     The index plumbing is disabled wholesale (classification and wakeup
     bookkeeping become no-ops) and selection recomputes eligibility from
-    scratch each time -- quadratic, but obviously correct.  The optimized
-    driver must match it exactly.
+    scratch each time -- quadratic, but obviously correct.  Overlap is
+    decided by scanning ``_pending`` for an older overlapping write, never
+    from the driver's write FIFO or any policy state: selection runs only
+    while nothing is in flight, so every incomplete write is pending and
+    the scan is exact.  The optimized driver must match it exactly.
     """
 
     def _classify(self, request):
@@ -40,15 +43,22 @@ class ReferenceDriver(DeviceDriver):
     def _after_completions(self, batch):
         pass
 
-    def _recheck_generic_eligible(self):
-        pass
+    def _behind_older_write(self, request):
+        return any(other.is_write and other.id < request.id
+                   and other.overlaps(request.lbn, request.nsectors)
+                   for other in self._pending.values())
 
     def _select_batch(self):
+        policy = self.policy
         pool = {}
         for request in self._pending.values():
-            if not self._write_fifo_ok(request):
+            # writes reach the media in issue order; a conflict-checked
+            # read waits for the older writes it overlaps
+            overlap_checked = (request.is_write
+                               or policy.conflict_checked_reads)
+            if overlap_checked and self._behind_older_write(request):
                 continue
-            if not self.policy.may_dispatch(request):
+            if not policy.may_dispatch(request):
                 continue
             pool[request.id] = request
         if not pool:
@@ -84,16 +94,6 @@ class ReferenceDriver(DeviceDriver):
             total += prev.nsectors
             cursor = prev.lbn
         return batch
-
-
-class GenericFlagPolicy(FlagPolicy):
-    """A flag policy that declares no structure: exercises the fallback
-    path where the driver conservatively rechecks held requests."""
-
-    def __init__(self, semantics, read_bypass=False):
-        super().__init__(semantics, read_bypass=read_bypass)
-        self.eligibility = "generic"
-        self.conflict_checked_reads = False
 
 
 def replay(driver_cls, policy_factory, seed, nops=120):
@@ -144,7 +144,6 @@ POLICIES = [
     ("full", lambda: FlagPolicy(FlagSemantics.FULL)),
     ("full-nr", lambda: FlagPolicy(FlagSemantics.FULL, read_bypass=True)),
     ("chains", ChainsPolicy),
-    ("generic", lambda: GenericFlagPolicy(FlagSemantics.PART)),
 ]
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.disk import Disk
-from repro.driver import ChainsPolicy, DeviceDriver, FlagPolicy, FlagSemantics, IOKind
+from repro.driver import (ChainsPolicy, DeviceDriver, FlagPolicy, FlagSemantics,
+                          IOKind, OrderingPolicy)
 from repro.sim import Engine
 
 
@@ -117,6 +118,47 @@ def test_nr_read_bypasses_flag_pending_writes(eng):
     assert held.complete_time < 0
     for req in (blocker, flagged, held):
         eng.run_until(req.done)
+
+
+def test_part_nr_read_waits_for_older_overlapping_write(eng):
+    """-NR reads bypass held writes, except an older write they overlap:
+    the read must not reach the drive before that write completes."""
+    driver = make_driver(eng, FlagPolicy(FlagSemantics.PART, read_bypass=True))
+    blocker = driver.write(500_000, sector_data(9))
+    flagged = driver.write(900_000, sector_data(1), flag=True)
+    held = driver.write(100, sector_data(2, nsectors=4))  # behind the flag
+    read = driver.read(102, 1)
+    for req in (blocker, flagged, held, read):
+        eng.run_until(req.done)
+    assert flagged.complete_time <= held.dispatch_time
+    assert read.dispatch_time >= held.complete_time
+
+
+def test_chains_read_waits_for_older_overlapping_write(eng):
+    """Chains reads carry no dependencies, yet a read of an older pending
+    write's sectors must not reach the drive before that write completes."""
+    driver = make_driver(eng, ChainsPolicy())
+    blocker = driver.write(500_000, sector_data(9))
+    first = driver.write(900_000, sector_data(1))
+    held = driver.write(100, sector_data(2, nsectors=4),
+                        depends_on=frozenset([first.id]))
+    read = driver.read(100, 2)
+    for req in (blocker, first, held, read):
+        eng.run_until(req.done)
+    assert first.complete_time <= held.dispatch_time
+    assert read.dispatch_time >= held.complete_time
+
+
+def test_unknown_eligibility_rejected_at_construction(eng):
+    class Mystery(OrderingPolicy):
+        name = "mystery"
+        eligibility = "generic"
+
+        def may_dispatch(self, request):
+            return True
+
+    with pytest.raises(ValueError, match="'mystery'.*'generic'"):
+        DeviceDriver(eng, Disk(eng), Mystery())
 
 
 def test_on_complete_callbacks_fire_in_driver_context(eng):

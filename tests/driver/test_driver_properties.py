@@ -37,6 +37,22 @@ ops_strategy = st.lists(
               st.booleans(), st.integers(0, 3)),
     min_size=1, max_size=40)
 
+# the same traffic on four start sectors, so reads meet older writes often
+overlap_ops_strategy = st.lists(
+    st.tuples(st.sampled_from(["read", "write", "write"]),
+              st.integers(0, 3), st.sampled_from([2, 8, 16]),
+              st.booleans(), st.integers(0, 3)),
+    min_size=1, max_size=40)
+
+
+#: policies whose reads are admitted on the overlap check alone
+NR_POLICIES = [
+    lambda: FlagPolicy(FlagSemantics.FULL, read_bypass=True),
+    lambda: FlagPolicy(FlagSemantics.BACK, read_bypass=True),
+    lambda: FlagPolicy(FlagSemantics.PART, read_bypass=True),
+    ChainsPolicy,
+]
+
 
 class TestFlagInvariants:
     @settings(max_examples=25, deadline=None,
@@ -62,14 +78,15 @@ class TestFlagInvariants:
                 elif other.id < flagged.id:
                     assert flagged.dispatch_time >= other.complete_time - 1e-9
 
-    @settings(max_examples=25, deadline=None,
+    @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(ops=ops_strategy)
-    def test_nr_reads_never_conflict(self, ops):
-        """With -NR, a read never dispatches while an older overlapping
+    @given(ops=overlap_ops_strategy,
+           policy_factory=st.sampled_from(NR_POLICIES))
+    def test_nr_reads_never_conflict(self, ops, policy_factory):
+        """Under every conflict-checked read rule (-NR, and chains' natural
+        read bypass) a read never dispatches while an older overlapping
         write is incomplete."""
-        trace = random_traffic(
-            ops, lambda: FlagPolicy(FlagSemantics.PART, read_bypass=True))
+        trace = random_traffic(ops, policy_factory)
         for read in (r for r in trace if not r.is_write):
             for write in (r for r in trace if r.is_write):
                 if write.id < read.id and write.overlaps(read.lbn,

@@ -59,12 +59,14 @@ class TestPart:
         issue_all(policy, [wf, rd])
         assert policy.may_dispatch(rd)
 
-    def test_nr_read_conflicting_with_pending_write_blocks(self, eng):
+    def test_nr_read_overlapping_pending_write_is_admitted(self, eng):
+        """Overlap is the driver's rule (its write FIFO), not the
+        policy's: the -NR policy admits every read."""
         policy = FlagPolicy(FlagSemantics.PART, read_bypass=True)
         wf = make_request(eng, 1, lbn=100, nsectors=4, flag=True)
         rd = make_request(eng, 2, kind=IOKind.READ, lbn=102, nsectors=1)
         issue_all(policy, [wf, rd])
-        assert not policy.may_dispatch(rd)
+        assert policy.may_dispatch(rd)
 
 
 class TestBack:
@@ -157,12 +159,14 @@ class TestChains:
         issue_all(policy, [w1, w2, rd])
         assert policy.may_dispatch(rd)
 
-    def test_read_of_pending_write_target_blocks(self, eng):
+    def test_read_of_pending_write_target_is_admitted(self, eng):
+        """Overlap is the driver's rule (its write FIFO), not the
+        policy's: a read names no dependencies, so chains admit it."""
         policy = ChainsPolicy()
         w1 = make_request(eng, 1, lbn=100, nsectors=4)
         rd = make_request(eng, 2, kind=IOKind.READ, lbn=100, nsectors=2)
         issue_all(policy, [w1, rd])
-        assert not policy.may_dispatch(rd)
+        assert policy.may_dispatch(rd)
 
 
 class TestRequestValidation:
