@@ -21,8 +21,8 @@ Flag semantics compared by the paper (figure 1):
 
 ``-NR`` (any semantics): non-conflicting reads bypass writes that are waiting
 because of ordering restrictions.  A read conflicts if it overlaps an
-incomplete earlier write; the policy admits every ``-NR`` read and the
-driver holds a conflicting one back.
+incomplete earlier write; the driver decides ``-NR`` reads from its write
+FIFO and never asks the policy about them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import enum
 import heapq
 from collections import deque
 
-from repro.driver.request import DiskRequest, IOKind
+from repro.driver.request import DiskRequest
 
 
 class FlagSemantics(enum.Enum):
@@ -70,9 +70,9 @@ class OrderingPolicy:
     ``conflict_checked_reads`` marks policies whose *read* admission is
     exactly "no overlap with an incomplete earlier write" (the ``-NR``
     rule and chains' natural read bypass).  The driver decides those reads
-    itself from its write FIFO and never asks the policy about them; it
-    wakes a held read from the completion of the specific write blocking
-    it.
+    itself from its write FIFO and wakes a held read from the completion
+    of the specific write blocking it.  ``may_dispatch`` is never asked
+    about a read of such a policy, so its answer for one is unspecified.
     """
 
     name = "base"
@@ -99,9 +99,10 @@ class FlagPolicy(OrderingPolicy):
     Eligibility is monotone in issue order for every flag meaning: a
     request is blocked exactly when some older flagged/incomplete work
     remains, a condition that only grows with the issue id.  (With
-    ``read_bypass`` the reads drop out of that ordering: the policy admits
-    them, and the driver holds back only those overlapping an older
-    incomplete write.)  The driver uses this to keep
+    ``read_bypass`` the reads drop out of that ordering: they are
+    ``conflict_checked_reads``, so the driver never asks the policy about
+    them and holds back only those overlapping an older incomplete
+    write.)  The driver uses this to keep
     held-back queues -- which reach thousands of requests under the remove
     benchmarks -- out of the per-dispatch scan entirely.
     """
@@ -164,9 +165,6 @@ class FlagPolicy(OrderingPolicy):
     def may_dispatch(self, request: DiskRequest) -> bool:
         if self.semantics is FlagSemantics.IGNORE:
             return True
-        if request.kind is IOKind.READ and self.read_bypass:
-            return True
-
         if self.semantics is FlagSemantics.PART:
             floor = self._min_flagged_incomplete()
             return floor is None or request.id <= floor

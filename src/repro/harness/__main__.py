@@ -15,9 +15,9 @@
     Exits nonzero only on silent corruption.
 
 ``python -m repro.harness regress [options]``
-    Compares the freshest ``BENCH_perf.json`` session against the
-    stratified per-cell history and exits 1 on a significant regression
-    (see ``docs/performance.md``).
+    Compares the freshest benchmark session in the run ledger against the
+    stratified per-cell history of earlier sessions and exits 1 on a
+    significant regression (see ``docs/performance.md``).
 
 Every subcommand appends one structured record to the run ledger
 (``results/ledger.jsonl`` unless ``REPRO_LEDGER`` redirects or disables

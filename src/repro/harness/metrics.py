@@ -51,7 +51,8 @@ class RunResult:
     def perf_extra(self) -> dict:
         """The host-performance slice of ``extra`` -- what :func:`run_grid`
         folds into the cell's :class:`~repro.harness.parallel.CellStats`
-        (and from there into ``BENCH_perf.json`` and the profile report):
+        (and from there into the session's ledger line and the profile
+        report):
         the ``profile.*`` keys (present when the machine ran with the layer
         profiler attached) plus the host-side provenance tags
         (``kernel``, ``store``)."""

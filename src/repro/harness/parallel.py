@@ -18,9 +18,12 @@ byte-identical tables to a serial one.  ``REPRO_JOBS=1`` forces the serial
 path; the suite's CI job diffs the two.
 
 Every grid also records per-cell wall seconds and simulator events into
-:data:`GRID_REPORTS`; ``benchmarks/conftest.py`` flushes those into the
-``BENCH_perf.json`` trajectory and ``benchmarks/results/perf_report.txt``
-at session end, so future performance work has a baseline to compare
+:data:`GRID_REPORTS`.  At session end ``benchmarks/conftest.py`` turns
+them into one ``grid`` line of the run ledger
+(:func:`build_session_record`) and renders ``results/perf_report.txt``
+(and, for profiled sessions, ``results/profile_report.txt``) from that
+line's payload, so any recorded session can re-render its reports and the
+regression gate (:mod:`repro.harness.regress`) has baselines to judge
 against.
 
 Long sweeps are no longer black boxes: the parallel path supports
@@ -45,8 +48,14 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.harness.report import format_table
+from repro.obs.observatory import snapshot_digest
+from repro.obs.profiler import format_profile_report
+
 __all__ = ["Cell", "CellStats", "GridCellError", "GridReport",
-           "GRID_REPORTS", "GridStallError", "Heartbeat", "default_jobs",
+           "GRID_REPORTS", "GridStallError", "Heartbeat",
+           "build_session_record", "default_jobs",
+           "format_perf_report", "format_session_profile",
            "heartbeat_interval", "run_grid", "stall_timeout"]
 
 
@@ -67,7 +76,7 @@ class CellStats:
     sim_events: int
     #: extras the result object volunteers via a ``perf_extra`` mapping
     #: (e.g. the crash explorer's points verified / points-per-second);
-    #: flushed verbatim into the cell's BENCH_perf.json record
+    #: flushed verbatim into the cell's entry of the session's ledger line
     extra: dict = field(default_factory=dict)
 
     @property
@@ -93,6 +102,84 @@ class GridReport:
     @property
     def sim_events(self) -> int:
         return sum(cell.sim_events for cell in self.cells)
+
+
+def build_session_record(grid_reports: list, scale: float,
+                         jobs: int) -> dict:
+    """The payload of one benchmark session's ``grid`` ledger line.
+
+    Shared by ``benchmarks/conftest.py`` (the real sessions) and the
+    regression-gate tests (synthetic ones), so the gate can never drift
+    from the producer's schema.  :func:`~repro.obs.observatory.append_ledger`
+    adds the timestamp and the host facts the gate stratifies by.
+
+    ``snapshot_digest`` is the "behaviour changed" fingerprint: it covers
+    each cell's grid, key and ``sim_events`` only, so two sessions that
+    ran the same simulations digest equal whatever their host walls,
+    timestamps or host.
+    """
+    grids = [
+        {
+            "name": grid.name,
+            "jobs": grid.jobs,
+            "wall_seconds": round(grid.wall_seconds, 3),
+            "cell_wall_seconds": round(grid.cell_wall_total, 3),
+            "sim_events": grid.sim_events,
+            "cells": [
+                {
+                    "key": cell.key,
+                    "wall_seconds": round(cell.wall_seconds, 3),
+                    "sim_events": cell.sim_events,
+                    "events_per_second": round(cell.events_per_second),
+                    **cell.extra,
+                }
+                for cell in grid.cells
+            ],
+        }
+        for grid in grid_reports
+    ]
+    return {
+        "scale": scale,
+        "jobs": jobs,
+        "wall_seconds": round(sum(g.wall_seconds for g in grid_reports), 3),
+        "cell_wall_seconds": round(sum(g.cell_wall_total
+                                       for g in grid_reports), 3),
+        "sim_events": sum(g.sim_events for g in grid_reports),
+        "snapshot_digest": snapshot_digest({
+            f"{grid['name']} / {cell['key']}": cell["sim_events"]
+            for grid in grids for cell in grid["cells"]}),
+        "grids": grids,
+    }
+
+
+def format_perf_report(record: dict) -> str:
+    """``results/perf_report.txt``, rendered from a ``grid`` ledger line."""
+    rows = []
+    for grid in record["grids"]:
+        for cell in grid["cells"]:
+            rows.append([grid["name"], cell["key"], cell["wall_seconds"],
+                         cell["sim_events"], cell["events_per_second"]])
+        wall = grid["wall_seconds"]
+        rows.append([grid["name"], "(grid total)", wall, grid["sim_events"],
+                     grid["sim_events"] / wall if wall else 0.0])
+    return format_table(
+        f"Benchmark performance (scale={record['scale']}, "
+        f"jobs={record['jobs']}, host wall clock -- varies run to run)",
+        ["Grid", "Cell", "Wall (s)", "Sim events", "Events/s"], rows)
+
+
+def format_session_profile(record: dict) -> Optional[str]:
+    """``results/profile_report.txt``, rendered from a ``grid`` ledger
+    line; None when no cell carries ``profile.*`` fields (the session ran
+    without ``REPRO_PROFILE=1``)."""
+    cells = [(f"{grid['name']} / {cell['key']}", cell["wall_seconds"], cell)
+             for grid in record["grids"] for cell in grid["cells"]
+             if any(key.startswith("profile.") for key in cell)]
+    if not cells:
+        return None
+    return format_profile_report(
+        cells, title=f"Per-layer profile (scale={record['scale']}; "
+                     f"sim self-time)")
 
 
 def _env_seconds(name: str) -> float:

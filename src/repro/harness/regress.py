@@ -1,25 +1,18 @@
 """The automated performance-regression gate.
 
-``BENCH_perf.json`` accumulates one record per benchmark session and
-``BENCH_perf.history.jsonl`` keeps everything that rotated out -- but until
-now nothing ever *read* them, so a PR that halved the event loop's
-throughput sailed through CI green.  ``python -m repro.harness regress``
-closes the loop: it takes the freshest session as the candidate, gathers
-every prior session from the trajectory + history, and compares the
-candidate's per-cell wall clock against **robust per-cell statistics** over
-the priors.
+Every benchmark session appends one ``grid`` line to the run ledger
+(:mod:`repro.obs.observatory`; the payload is
+:func:`repro.harness.parallel.build_session_record`).
+``python -m repro.harness regress`` reads those lines back: it takes the
+freshest session as the candidate and compares its per-cell wall clock
+against **robust per-cell statistics** over every earlier session.
 
 Method (documented in ``docs/performance.md``):
 
 * **Stratification.**  Only priors from the same stratum count as
-  baseline: same event-loop kernel and sector store names, host CPU
-  count, benchmark scale, and job count.  A 4-core run is never judged
-  against a 1-core container's.  The kernel and store names are constants
-  today; they stay in the key so sessions recorded under the since-removed
-  alternates (``fast`` kernel, ``dict`` store) never serve as baselines.
-  Cells carrying their own ``kernel``/``store`` fields must match on those
-  too.  Pre-enrichment records migrate to all-``None`` strata
-  (:func:`repro.harness.perflog.migrate_record`), which match nothing.
+  baseline: same host CPU count, benchmark scale, and job count.  A
+  4-core run is never judged against a 1-core container's.  Cells match
+  on grid name and cell key.
 * **Robust center.**  The baseline is the *median* of the prior walls --
   one historic outlier session cannot move the gate -- and at least
   ``--min-runs`` priors are required before a cell is judged at all.
@@ -49,9 +42,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.harness.perflog import history_path_for, load_history, load_records
 from repro.harness.report import format_table
-from repro.obs.observatory import append_ledger
+from repro.obs.observatory import append_ledger, ledger_path, read_ledger
 
 __all__ = ["CellVerdict", "DEFAULT_ABS_FLOOR", "DEFAULT_MIN_RUNS",
            "DEFAULT_TOLERANCE", "ALLOW_ENV", "compare_records",
@@ -70,10 +62,9 @@ ALLOW_ENV = "REPRO_REGRESS_ALLOW"
 
 
 def stratum_of(record: dict) -> tuple:
-    """The comparability key of one session record."""
+    """The comparability key of one session's ledger line."""
     host = record.get("host") or {}
-    return (record.get("kernel"), record.get("store"), host.get("cpus"),
-            record.get("scale"), record.get("jobs"))
+    return (host.get("cpus"), record.get("scale"), record.get("jobs"))
 
 
 @dataclass
@@ -104,8 +95,14 @@ class CellVerdict:
 
 
 def _cells_of(record: dict):
-    """Yield ``(grid_name, cell_dict)`` for every cell in a session."""
+    """Yield ``(grid_name, cell_dict)`` for every cell in a session.
+
+    Grid lines that list only grid names (no per-cell payload) yield
+    nothing.
+    """
     for grid in record.get("grids") or []:
+        if not isinstance(grid, dict):
+            continue
         name = grid.get("name", "?")
         for cell in grid.get("cells") or []:
             if isinstance(cell, dict) and "key" in cell:
@@ -113,10 +110,8 @@ def _cells_of(record: dict):
 
 
 def _cell_identity(grid_name: str, cell: dict) -> tuple:
-    """Cells match on grid, key, and (when declared) their own kernel and
-    sector store."""
-    return (grid_name, str(cell["key"]), cell.get("kernel"),
-            cell.get("store"))
+    """Cells match on grid name and cell key."""
+    return (grid_name, str(cell["key"]))
 
 
 def compare_records(fresh: dict, priors: list,
@@ -171,9 +166,9 @@ def format_regression_report(verdicts: list, fresh: dict, tolerance: float,
     stratum = stratum_of(fresh)
     lines = ["performance regression report",
              "=============================",
-             f"candidate session: {fresh.get('timestamp', '?')}",
-             f"stratum: kernel={stratum[0]} store={stratum[1]} "
-             f"cpus={stratum[2]} scale={stratum[3]} jobs={stratum[4]}",
+             f"candidate session: {fresh.get('ts', '?')}",
+             f"stratum: cpus={stratum[0]} scale={stratum[1]} "
+             f"jobs={stratum[2]}",
              f"policy: regression when wall > median * {1 + tolerance:g} "
              f"and excess > {abs_floor:g}s, over >= {min_runs} "
              f"same-stratum prior runs",
@@ -208,26 +203,27 @@ def format_regression_report(verdicts: list, fresh: dict, tolerance: float,
     return "\n".join(lines) + "\n"
 
 
-def gate(perf_json: Path, history: Optional[Path] = None,
+def gate(ledger: Optional[Path],
          tolerance: float = DEFAULT_TOLERANCE,
          min_runs: int = DEFAULT_MIN_RUNS,
          abs_floor: float = DEFAULT_ABS_FLOOR) -> tuple:
-    """Run the gate; returns ``(verdicts, fresh_record)``.
+    """Run the gate over the ``grid`` lines of the run ledger at *ledger*
+    (None when ``REPRO_LEDGER`` disables it); returns
+    ``(verdicts, fresh_record)``.
 
     Raises :class:`SystemExit` only from :func:`main`; this function is
     pure so tests (and other tools) can call it directly.
     """
-    perf_json = Path(perf_json)
-    records = load_records(perf_json)
-    if not records:
+    sessions = [record for record in read_ledger(ledger)
+                if record.get("cmd") == "grid"] \
+        if ledger is not None else []
+    if not sessions:
         raise FileNotFoundError(
-            f"no benchmark sessions in {perf_json} -- run the benchmark "
-            f"grid first (python -m pytest benchmarks -q --benchmark-only)")
-    fresh = records[-1]
-    history = Path(history) if history is not None \
-        else history_path_for(perf_json)
-    priors = load_history(history) + records[:-1]
-    verdicts = compare_records(fresh, priors, tolerance=tolerance,
+            f"no benchmark sessions in the run ledger ({ledger}) -- run "
+            f"the benchmark grid first "
+            f"(python -m pytest benchmarks -q --benchmark-only)")
+    fresh = sessions[-1]
+    verdicts = compare_records(fresh, sessions[:-1], tolerance=tolerance,
                                min_runs=min_runs, abs_floor=abs_floor)
     return verdicts, fresh
 
@@ -235,13 +231,9 @@ def gate(perf_json: Path, history: Optional[Path] = None,
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness regress",
-        description="compare the freshest BENCH_perf.json session against "
+        description="compare the freshest benchmark session in the run "
+                    "ledger (results/ledger.jsonl, or REPRO_LEDGER) against "
                     "the stratified per-cell history; exit 1 on regression")
-    parser.add_argument("--perf-json", default="BENCH_perf.json",
-                        help="trajectory path (default BENCH_perf.json)")
-    parser.add_argument("--history", default=None,
-                        help="rotated history path (default: the "
-                             "*.history.jsonl next to --perf-json)")
     parser.add_argument("--tolerance", type=float,
                         default=DEFAULT_TOLERANCE,
                         help="relative band (default %(default)s: flag "
@@ -259,9 +251,9 @@ def main(argv: list) -> int:
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
+    ledger = ledger_path()
     try:
-        verdicts, fresh = gate(args.perf_json, history=args.history,
-                               tolerance=args.tolerance,
+        verdicts, fresh = gate(ledger, tolerance=args.tolerance,
                                min_runs=args.min_runs,
                                abs_floor=args.abs_floor)
     except FileNotFoundError as exc:
@@ -282,8 +274,8 @@ def main(argv: list) -> int:
 
     regressions = [v for v in verdicts if v.status == "regression"]
     append_ledger("regress", {
-        "perf_json": str(args.perf_json),
-        "candidate": fresh.get("timestamp"),
+        "ledger": str(ledger),
+        "candidate": fresh.get("ts"),
         "cells": len(verdicts),
         "regressions": len(regressions),
         "improved": sum(1 for v in verdicts if v.status == "improved"),

@@ -97,7 +97,8 @@ class ExplorationReport:
 
     @property
     def perf_extra(self) -> dict:
-        """Benchmark-grid payload (lands in BENCH_perf.json cells)."""
+        """Benchmark-grid payload (lands in the cell's entry of the
+        session's ``grid`` ledger line)."""
         return {
             "mode": self.mode,
             "points": self.points,

@@ -1,14 +1,14 @@
 """The run ledger: every harness invocation leaves a structured record.
 
-``BENCH_perf.json`` tracks benchmark *sessions*; nothing tracked the other
-harness entry points (``trace``, ``faults``, ``explore``, the headline
-``bench`` comparison, ``regress``), so long sweeps ran as black boxes and
-cross-invocation questions ("what ran on this host last week, and how
-fast?") required archaeology.  The ledger is the closed-loop
-answer: one JSON object per line appended to ``results/ledger.jsonl`` --
-subcommand, configuration, wall/sim time, throughput, an obs-snapshot
-digest when observability was on, and host facts (CPU count, platform,
-Python version) so records from different machines are never conflated.
+One JSON object per line appended to ``results/ledger.jsonl`` for each
+harness entry point (``trace``, ``faults``, ``explore``, the headline
+``bench`` comparison, ``regress``, and ``grid`` for a benchmark session)
+-- subcommand, configuration, wall/sim time, throughput, a behaviour
+digest, and host facts (CPU count, platform, Python version) so records
+from different machines are never conflated.  It is the only run record:
+a ``grid`` line carries the session's per-cell payload
+(:func:`repro.harness.parallel.build_session_record`), which the
+regression gate judges and the perf/profile reports are rendered from.
 
 Appends are concurrency-safe: each record is a single ``os.write`` to an
 ``O_APPEND`` descriptor, so grid cells (or whole sweeps) appending from
@@ -43,8 +43,7 @@ def host_facts() -> dict:
 
     The regression gate refuses to compare cells across differing strata
     (a 4-core runner against a 1-core container), so these are stamped
-    into every ledger record and every perf-trajectory session at append
-    time.
+    into every ledger record at append time.
     """
     return {
         "platform": platform.system().lower() or "unknown",

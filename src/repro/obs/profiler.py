@@ -20,24 +20,23 @@ Attribution policy (documented in ``docs/performance.md``):
   duration minus its closed children's durations, so a syscall's cache
   waits land under ``cache``, not ``vfs``.  Async spans (driver queue
   residencies overlap by design) are counted but never folded.
-* **host wall** is an *estimate*: per-cell host wall is prorated over the
-  layers by their sim self-time share at report time.  Real per-layer host
-  time is unmeasurable from span stamps alone -- the driver/drive spans are
-  recorded retrospectively in a single host instant -- and anything
-  heavier would violate the "cheap" contract.
+* **host time** is not attributed per layer: sim-time shares say nothing
+  about where the host CPU went (the driver/drive spans are recorded
+  retrospectively in a single host instant).  The report shows each
+  cell's measured host wall on its label line only.
 
 Everything lands in the machine's :class:`MetricsRegistry` under
 ``profile.<layer>.sim`` / ``profile.<layer>.spans``, so ``obs.snapshot()``
 folds it into ``RunResult.extra`` with zero extra plumbing, grid cells
-carry it into ``BENCH_perf.json``, and ``results/profile_report.txt``
-renders the breakdown table.  The profiler reads clocks and adds floats --
+carry it into the session's run-ledger line, and
+``results/profile_report.txt`` renders the breakdown table.  The profiler reads clocks and adds floats --
 it never touches the event heap, so a profiled run is simulation-identical
 to a bare one (``tests/obs/test_profiler.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.obs.registry import MetricsRegistry
@@ -111,13 +110,12 @@ class LayerProfiler:
 # ----------------------------------------------------------------------
 # report rendering (pure functions over snapshot dicts)
 # ----------------------------------------------------------------------
-def profile_rows(extra: dict, wall_seconds: Optional[float] = None) -> list:
-    """``[(layer, spans, sim_self, share, wall_est)]`` from a snapshot.
+def profile_rows(extra: dict) -> list:
+    """``[(layer, spans, sim_self, share)]`` from a snapshot.
 
     *extra* is any mapping containing ``profile.*`` keys (RunResult.extra,
-    a BENCH_perf cell record).  Returns [] when the cell was not profiled.
-    ``wall_est`` is the prorated host-wall estimate (None without
-    *wall_seconds*).
+    a cell of a ``grid`` ledger line).  Returns [] when the cell was not
+    profiled.
     """
     sims = {layer: extra.get(f"profile.{layer}.sim", 0.0) for layer in LAYERS}
     counts = {layer: extra.get(f"profile.{layer}.spans", 0)
@@ -125,12 +123,9 @@ def profile_rows(extra: dict, wall_seconds: Optional[float] = None) -> list:
     if not any(counts.values()) and not any(sims.values()):
         return []
     total = sum(sims.values())
-    rows = []
-    for layer in LAYERS:
-        share = sims[layer] / total if total > 0 else 0.0
-        wall_est = wall_seconds * share if wall_seconds is not None else None
-        rows.append((layer, counts[layer], sims[layer], share, wall_est))
-    return rows
+    return [(layer, counts[layer], sims[layer],
+             sims[layer] / total if total > 0 else 0.0)
+            for layer in LAYERS]
 
 
 def format_profile_report(cells: list, title: str = "") -> str:
@@ -140,12 +135,12 @@ def format_profile_report(cells: list, title: str = "") -> str:
     ``profile.*`` keys are skipped.  Deterministic in its inputs.
     """
     lines = []
-    header = title or "Per-layer profile (sim self-time; wall is prorated)"
+    header = title or "Per-layer profile (sim self-time)"
     lines.append(header)
     lines.append("=" * len(header))
     profiled = 0
     for label, wall_seconds, extra in cells:
-        rows = profile_rows(extra, wall_seconds)
+        rows = profile_rows(extra)
         if not rows:
             continue
         profiled += 1
@@ -153,11 +148,10 @@ def format_profile_report(cells: list, title: str = "") -> str:
         wall = f", host wall {wall_seconds:.3f}s" if wall_seconds else ""
         lines.append(f"{label}{wall}")
         lines.append(f"  {'layer':<8}{'spans':>9}{'sim self (s)':>14}"
-                     f"{'share':>8}{'wall est (s)':>14}")
-        for layer, spans, sim, share, wall_est in rows:
-            est = f"{wall_est:.3f}" if wall_est is not None else "-"
+                     f"{'share':>8}")
+        for layer, spans, sim, share in rows:
             lines.append(f"  {layer:<8}{spans:>9}{sim:>14.6f}"
-                         f"{100 * share:>7.1f}%{est:>14}")
+                         f"{100 * share:>7.1f}%")
     if not profiled:
         lines.append("")
         lines.append("(no profiled cells -- run with REPRO_PROFILE=1 or "

@@ -46,6 +46,16 @@ def make_machine(scheme_name="noorder", geometry=SMALL_GEOMETRY,
     return machine
 
 
+@pytest.fixture(autouse=True)
+def private_ledger(tmp_path, monkeypatch):
+    """Point the run ledger into the test's tmp dir.
+
+    CLI entry points append to ``results/ledger.jsonl`` by default; a test
+    run must not add lines to the record the regression gate judges.
+    """
+    monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
+
+
 @pytest.fixture(params=list(SCHEME_FACTORIES))
 def any_scheme_machine(request):
     return make_machine(request.param)

@@ -53,12 +53,14 @@ class ReferenceDriver(DeviceDriver):
         pool = {}
         for request in self._pending.values():
             # writes reach the media in issue order; a conflict-checked
-            # read waits for the older writes it overlaps
-            overlap_checked = (request.is_write
-                               or policy.conflict_checked_reads)
-            if overlap_checked and self._behind_older_write(request):
+            # read waits for the older writes it overlaps and, as in the
+            # driver, is never put to the policy
+            checked_read = (not request.is_write
+                            and policy.conflict_checked_reads)
+            if (request.is_write or checked_read) \
+                    and self._behind_older_write(request):
                 continue
-            if not policy.may_dispatch(request):
+            if not checked_read and not policy.may_dispatch(request):
                 continue
             pool[request.id] = request
         if not pool:

@@ -52,21 +52,6 @@ class TestPart:
         issue_all(policy, [wf, rd])
         assert not policy.may_dispatch(rd)
 
-    def test_reads_bypass_with_nr(self, eng):
-        policy = FlagPolicy(FlagSemantics.PART, read_bypass=True)
-        wf = make_request(eng, 1, lbn=0, flag=True)
-        rd = make_request(eng, 2, kind=IOKind.READ, lbn=100)
-        issue_all(policy, [wf, rd])
-        assert policy.may_dispatch(rd)
-
-    def test_nr_read_overlapping_pending_write_is_admitted(self, eng):
-        """Overlap is the driver's rule (its write FIFO), not the
-        policy's: the -NR policy admits every read."""
-        policy = FlagPolicy(FlagSemantics.PART, read_bypass=True)
-        wf = make_request(eng, 1, lbn=100, nsectors=4, flag=True)
-        rd = make_request(eng, 2, kind=IOKind.READ, lbn=102, nsectors=1)
-        issue_all(policy, [wf, rd])
-        assert policy.may_dispatch(rd)
 
 
 class TestBack:

@@ -1,5 +1,6 @@
 """The parallel grid runner: serial/parallel identity and perf records."""
 
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -9,11 +10,16 @@ from repro.driver import DeviceDriver, FlagPolicy, FlagSemantics
 from repro.harness.parallel import (
     GRID_REPORTS,
     Cell,
+    CellStats,
     GridCellError,
     GridReport,
+    build_session_record,
     default_jobs,
+    format_perf_report,
+    format_session_profile,
     run_grid,
 )
+from repro.obs.observatory import append_ledger, read_ledger
 from repro.sim import Engine
 
 
@@ -130,3 +136,65 @@ class TestDefaultJobs:
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert default_jobs() >= 1
+
+
+def session_payload(walls, events=None, extra=None):
+    """A one-grid session payload built by the producer's own builder;
+    every cell has 1000 sim events unless *events* says otherwise."""
+    events = events or {}
+    grid = GridReport(name="g", jobs=2, wall_seconds=sum(walls.values()))
+    for key, wall in walls.items():
+        grid.cells.append(CellStats(key=key, wall_seconds=wall,
+                                    sim_events=events.get(key, 1000),
+                                    extra=dict(extra or {})))
+    return build_session_record([grid], scale=0.15, jobs=2)
+
+
+class TestSessionRecord:
+    def test_schema_matches_gate_expectations(self):
+        grid = GridReport(name="g", jobs=2, wall_seconds=1.0)
+        grid.cells.append(CellStats(key="('copy', 'Soft Updates')",
+                                    wall_seconds=0.5, sim_events=1000,
+                                    extra={"kernel": "python"}))
+        rec = build_session_record([grid], scale=0.15, jobs=2)
+        assert (rec["scale"], rec["jobs"]) == (0.15, 2)
+        cell = rec["grids"][0]["cells"][0]
+        assert cell["wall_seconds"] == 0.5
+        assert cell["events_per_second"] == 2000
+        assert cell["kernel"] == "python"
+
+    def test_grid_line_carries_host_facts(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        append_ledger("grid", session_payload({"a": 1.0}), path=path)
+        host = read_ledger(path)[0]["host"]
+        assert host["cpus"] == (os.cpu_count() or 1)
+        assert "numpy" not in host
+        assert host["platform"]
+
+    def test_digest_covers_behaviour_not_host_clock(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        append_ledger("grid", session_payload({"a": 1.70, "b": 0.40}),
+                      path=path)
+        append_ledger("grid", session_payload({"a": 1.71, "b": 0.55}),
+                      path=path)
+        first, second = read_ledger(path)
+        assert first["wall_seconds"] != second["wall_seconds"]
+        assert first["snapshot_digest"] == second["snapshot_digest"]
+        changed = session_payload({"a": 1.70, "b": 0.40},
+                                  events={"b": 1001})
+        assert changed["snapshot_digest"] != first["snapshot_digest"]
+
+    def test_reports_render_from_the_recorded_line(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        payload = session_payload({"a": 1.0},
+                                  extra={"profile.vfs.sim": 0.5,
+                                         "profile.vfs.spans": 3})
+        append_ledger("grid", payload, path=path)
+        recorded = read_ledger(path)[0]
+        perf = format_perf_report(recorded)
+        assert perf == format_perf_report(payload)
+        assert "(grid total)" in perf and "scale=0.15" in perf
+        profile = format_session_profile(recorded)
+        assert "g / a, host wall 1.000s" in profile
+        assert "vfs" in profile
+        assert format_session_profile(session_payload({"a": 1.0})) is None
